@@ -72,6 +72,12 @@ def _is_exact(ma_values) -> bool:
     return all(isinstance(v, (Fraction, int)) for _, v in ma_values)
 
 
+def _lower_candidate(t, w, ma_next):
+    """max(w/(2t-w), (t-2)/(2t ma_next)); a Fraction when ma_next is exact."""
+    one = Fraction(1) if isinstance(ma_next, (Fraction, int)) else 1.0
+    return max(one * w / (2 * t - w), one * (t - 2) / (2 * t * ma_next))
+
+
 def _upper_candidate(t, w, ma):
     num = (w - 1) * ma + (t - w + 1) * (1 - ma)
     return num / (t * ma)
@@ -94,20 +100,9 @@ def rt_lower_numeric(t: int, ma_values) -> Fraction | float:
     average majority admits a w-proposal with majority support; the second
     comes from the guaranteed near-half-representativeness proposal.
     """
-    exact = _is_exact(ma_values)
     by_w = dict(ma_values)
-    one = Fraction(1) if exact else 1.0
-    best = None
-    for w, _ in ma_values:
-        ma_next = by_w.get(w + 1, one)
-        first = Fraction(w, 2 * t - w) if exact else w / (2 * t - w)
-        second = (
-            Fraction(t - 2, 1) / (2 * t * ma_next) if exact else (t - 2) / (2 * t * ma_next)
-        )
-        cand = max(first, second)
-        if best is None or cand < best:
-            best = cand
-    return best
+    one = Fraction(1) if _is_exact(ma_values) else 1.0
+    return min(_lower_candidate(t, w, by_w.get(w + 1, one)) for w, _ in ma_values)
 
 
 def figure2_points(t: int, ma_values) -> list[tuple[Fraction | float, Fraction | float]]:
@@ -157,18 +152,11 @@ def rt_bounds(t: int, exact: bool | None = None) -> RtBounds:
     one = Fraction(1) if is_exact else 1.0
     details = []
     for w, ma in values:
-        ma_next = by_w.get(w + 1, one)
-        first = Fraction(w, 2 * t - w) if is_exact else w / (2 * t - w)
-        second = (
-            Fraction(t - 2, 1) / (2 * t * ma_next)
-            if is_exact
-            else (t - 2) / (2 * t * ma_next)
-        )
         details.append(
             BoundDetail(
                 w=w,
                 ma=ma,
-                lower_candidate=max(first, second),
+                lower_candidate=_lower_candidate(t, w, by_w.get(w + 1, one)),
                 upper_candidate=_upper_candidate(t, w, ma),
             )
         )

@@ -108,8 +108,25 @@ def cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
+# options each construction needs, checked before any work is done
+_CONSTRUCT_OPTIONS = {
+    "lemma1": ("t",),
+    "theorem2": ("l",),
+    "theorem3": ("t", "k", "M"),
+    "lemma7": ("t", "w", "n"),
+    "vlp": ("t", "w"),
+}
+
+
 def cmd_construct(args, out) -> int:
     kind = args.kind
+    missing = [f"--{name}" for name in _CONSTRUCT_OPTIONS[kind] if getattr(args, name) is None]
+    if missing:
+        raise ParameterError(f"construct {kind} requires {' '.join(missing)}")
+    if kind == "vlp" and args.t > constructions.VLP_TOPIC_CAP:
+        raise ResourceLimitError(
+            f"construct vlp materializes up to 2^t rows; t > {constructions.VLP_TOPIC_CAP}"
+        )
     if kind == "lemma1":
         matrix = constructions.lemma1_matrix(args.t)
         header = f"lemma1 t={args.t}"
@@ -122,12 +139,10 @@ def cmd_construct(args, out) -> int:
     elif kind == "lemma7":
         matrix = constructions.lemma7_matrix(args.t, args.w, args.n)
         header = f"lemma7 t={args.t} w={args.w} n={args.n}"
-    elif kind == "vlp":
+    else:  # vlp; argparse restricts the choices
         solution = lpsolve.solve_ma(args.t, args.w)
         matrix = constructions.vlp_matrix(args.t, args.w, solution.profile)
         header = f"vlp t={args.t} w={args.w} ma={solution.ma}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown construction {kind}")
     text = matrixio.write_matrix(matrix, header=header)
     if args.out:
         with open(args.out, "w") as handle:
@@ -176,10 +191,14 @@ def cmd_ma(args, out) -> int:
 
 
 def _t_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    lo, colon, hi = spec.partition(":")
+    try:
+        ts = list(range(int(lo), int(hi if colon else lo) + 1))
+    except ValueError:
+        raise ParameterError(f"--t-range expects A:B with integers A <= B, got {spec!r}") from None
+    if not ts:
+        raise ParameterError(f"--t-range {spec} is empty; write A:B with A <= B")
+    return ts
 
 
 def cmd_bounds(args, out) -> int:
@@ -298,3 +317,7 @@ def main(argv=None, out=None) -> int:
 
 def entrypoint() -> None:  # console script
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

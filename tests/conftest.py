@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import priceofmajority
 from priceofmajority import VoterMatrix
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """Environment in which a child interpreter imports this package's source."""
+    src = str(Path(priceofmajority.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 import csv
 import io
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from priceofmajority import lpsolve
 from priceofmajority.cli import format_significant, main
 
 
@@ -96,6 +99,29 @@ class TestConstruct:
         code, _ = run(["construct", "theorem3", "--t", "5", "--k", "4", "--M", "4"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "lemma1"],
+            ["construct", "theorem2"],
+            ["construct", "theorem3", "--t", "5"],
+            ["construct", "lemma7", "--t", "5", "--w", "4"],
+            ["construct", "vlp", "--t", "5"],
+        ],
+    )
+    def test_missing_options(self, argv):
+        code, text = run(argv)
+        assert code == 3
+        assert text == ""
+
+    def test_vlp_cap_checked_before_solving(self, monkeypatch):
+        def no_solve(t, w):
+            raise AssertionError("solve_ma called above the vlp cap")
+
+        monkeypatch.setattr(lpsolve, "solve_ma", no_solve)
+        code, _ = run(["construct", "vlp", "--t", "25", "--w", "20"])
+        assert code == 3
+
 
 class TestMa:
     def test_sweep_csv(self):
@@ -144,6 +170,15 @@ class TestMa:
     def test_deterministic(self):
         assert run(["ma", "--t", "7"]) == run(["ma", "--t", "7"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ma", "--t", "0"], ["ma", "--t", "-3", "--float"], ["ma", "--t", "0", "--w", "1"]],
+    )
+    def test_nonpositive_t_rejected(self, argv):
+        code, text = run(argv)
+        assert code == 3
+        assert text == ""
+
 
 class TestBounds:
     def test_single_t(self):
@@ -163,6 +198,12 @@ class TestBounds:
         _, approx = run(["bounds", "--t", "9", "--float"])
         assert exact == approx
 
+    @pytest.mark.parametrize("spec", ["9:3", "a:b", "3:"])
+    def test_bad_range_rejected(self, spec):
+        code, text = run(["bounds", "--t-range", spec])
+        assert code == 3
+        assert text == ""
+
 
 class TestVerify:
     def test_small_suite_passes(self):
@@ -174,3 +215,17 @@ class TestVerify:
         code, text = run(["verify", "--suite", "r3", "--samples", "50"])
         assert code == 0
         assert "(50/50 checks)" in text
+
+
+def test_module_entry_point(child_env):
+    done = subprocess.run(
+        [sys.executable, "-m", "priceofmajority.cli", "ma", "--t", "5"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.reader(io.StringIO(done.stdout)))
+    assert rows[0][0] == "w"
+    assert [r[0] for r in rows[1:]] == ["3", "4", "5"]

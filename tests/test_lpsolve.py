@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from priceofmajority import (
     ParameterError,
     ResourceLimitError,
     build_ma_lp,
+    lpsolve,
     ma_table,
     solve_ma,
     solve_ma_float,
@@ -98,6 +102,63 @@ class TestSolveMa:
             solve_ma(EXACT_T_CAP + 1, EXACT_T_CAP + 1)
 
 
+def _supported(t, k, l):
+    """k-proposals an l-voter supports, counted by the x Ys they share."""
+    return sum(
+        math.comb(l, x) * math.comb(t - l, k - x)
+        for x in range(k + 1)
+        if 2 * (x + (t - l) - (k - x)) >= t
+    )
+
+
+class TestIntegerSimplex:
+    def test_optimum_feasible_tight_and_objective(self):
+        for t in range(3, 26):
+            for w in range(min_k(t), t + 1):
+                solution = solve_ma(t, w)
+                v = solution.profile.fractions
+                assert all(isinstance(x, Fraction) and x >= 0 for x in v)
+                assert sum(v) == 1
+                tight = []
+                for k in range(w, t + 1):
+                    load = sum(_supported(t, k, l) * x for l, x in enumerate(v))
+                    assert 2 * load <= math.comb(t, k), (t, w, k)
+                    if 2 * load == math.comb(t, k):
+                        tight.append(k)
+                assert solution.active == tuple(tight), (t, w)
+                assert isinstance(solution.ma, Fraction)
+                assert sum(l * x for l, x in enumerate(v)) / t == solution.ma
+
+    def test_bland_only_pivoting_reaches_same_optimum(self, monkeypatch):
+        dantzig = {
+            (t, w): solve_ma(t, w).ma
+            for t in range(3, 26)
+            for w in range(min_k(t), t + 1)
+        }
+        monkeypatch.setattr(lpsolve, "_DEGENERATE_PIVOT_LIMIT", 0)
+        for (t, w), ma in dantzig.items():
+            assert solve_ma(t, w).ma == ma, (t, w)
+
+    def test_table_solves_suffixes_of_one_row_set(self):
+        for t in (12, 17):
+            assert ma_table(t, exact=True) == [
+                (w, solve_ma(t, w).ma) for w in range(min_k(t), t + 1)
+            ]
+
+    def test_exact_results_are_fractions(self):
+        assert lpsolve._rational is Fraction
+
+    def test_exact_path_imports_no_scipy(self, child_env):
+        code = (
+            "import sys; from priceofmajority import rt_bounds; "
+            "rt_bounds(9, exact=True); assert 'scipy' not in sys.modules"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+
 class TestMaTable:
     def test_t9_sweep(self):
         table = ma_table(9)
@@ -108,6 +169,12 @@ class TestMaTable:
         for t in (7, 9, 12):
             values = [v for _, v in ma_table(t)]
             assert values == sorted(values)
+
+    @pytest.mark.parametrize("exact", [True, False, None])
+    def test_nonpositive_t_rejected(self, exact):
+        for t in (0, -3):
+            with pytest.raises(ParameterError):
+                ma_table(t, exact=exact)
 
     def test_dominates_linear_bound(self):
         for t in (6, 9, 13):
