@@ -1,9 +1,10 @@
 """Command-line surface: matrix analysis, constructions, LP sweeps, bound tables.
 
-Exit codes: 0 success, 1 property failure, 2 matrix parse error,
-3 parameter or resource error. All reports are plain text or CSV with dot
-decimal separators; rational values are rendered at 4 significant figures
-(truncated) next to an exact num/den column.
+Exit codes: 0 success, 1 property failure, 2 matrix parse error or a file
+that cannot be read or written, 3 parameter or resource error, 4 unexpected
+internal error; each such failure is one ``error:`` line on standard error. All
+reports are plain text or CSV with dot decimal separators; rational values are
+rendered at 4 significant figures (truncated) next to an exact num/den column.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PARAMETER_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def format_significant(value, digits: int = 4) -> str:
@@ -304,15 +306,18 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except matrixio.MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    except (matrixio.MatrixFormatError, OSError) as exc:
+        return _error(exc, EXIT_PARSE_ERROR)
     except (ParameterError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER_ERROR
+        return _error(exc, EXIT_PARAMETER_ERROR)
+    except Exception as exc:
+        return _error(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL_ERROR)
+
+
+def _error(message, code: int) -> int:
+    """Report a failure on one line of standard error and return its exit code."""
+    print("error: " + str(message).replace("\n", " "), file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:  # console script

@@ -1,10 +1,14 @@
 """Exhaustive ground truth over all 2^t proposals.
 
 Enumerates proposals as bitmasks 0..2^t-1 and evaluates agreements with
-bitwise XOR + popcount against the (weighted) voter rows, so the cost is
-independent of the number of voters. Integer-weighted matrices go through a
-vectorized numpy path; matrices with rational weights fall back to exact
-Python arithmetic.
+bitwise XOR + popcount against the (weighted) voter rows in one vectorized
+numpy scan. Rational weights are scaled to integers by their common
+denominator and results are mapped back to the matrix's units; sums are int64
+while the scaled n*t < 2^62 and Python ints (``dtype=object``) beyond, on the
+same code.
+No scan runs when the answer is known from an O(rows*t) check: ``md_of`` is t
+when all-Y has majority support, and ``best_representation`` returns the
+column-majority proposal when it has majority support.
 
 At least one of any proposal/opposite pair always has majority support (their
 supporter weights sum to at least n), so the maxima computed here are taken
@@ -21,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    ColumnTally,
     ParameterError,
     Proposal,
     ResourceLimitError,
@@ -29,8 +32,11 @@ from .core import (
     absolute_representativeness,
     column_tally,
     has_majority_support,
+    matches,
     support_threshold,
+    supporter_weight,
 )
+from .matrixio import scale_to_integer_weights
 
 DEFAULT_TOPIC_CAP = 24
 HARD_TOPIC_CAP = 30
@@ -69,69 +75,65 @@ def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
     Intended for small t (hard limit 20); the scanning reductions below should
-    be used for anything larger.
+    be used for anything larger. Values are in the matrix's own weight units.
     """
     if matrix.t > 20:
         raise ResourceLimitError("proposal_stats materializes 2^t values; t > 20")
+    scaled, unit, dtype = _integer(matrix)
     supp, match = [], []
-    for lo, hi, s, m in _scan(matrix):
-        supp.extend(s.tolist() if isinstance(s, np.ndarray) else s)
-        match.extend(m.tolist() if isinstance(m, np.ndarray) else m)
+    for _, s, m in _scan(scaled, dtype):
+        supp.extend(x * unit for x in s.tolist())
+        match.extend(x * unit for x in m.tolist())
     return supp, match
 
 
-def _scan(matrix: VoterMatrix):
-    """Yield (lo, hi, supporter_weights, matches) per chunk of proposal masks."""
+def _integer(matrix: VoterMatrix):
+    """(integer-weight copy, unit, dtype): one integer weight is worth ``unit``.
+
+    ``unit`` is 1 for integer matrices and Fraction(1, scale) otherwise, so
+    results come back in the matrix's own number type; sums are held in dtype.
+    """
+    scaled, scale = scale_to_integer_weights(matrix)
+    unit = 1 if matrix.has_integer_weights() else Fraction(1, scale)
+    # n * t bounds every accumulated value
+    dtype = np.int64 if scaled.n * scaled.t < 2**62 else object
+    return scaled, unit, dtype
+
+
+def _scan(matrix: VoterMatrix, dtype):
+    """Yield (lo, supporter_weights, matches) per chunk of masks lo, lo+1, ...
+
+    ``matrix`` has integer weights; both sums are accumulated in ``dtype``.
+    """
     t = matrix.t
     threshold = support_threshold(t)
-    # n * t bounds every accumulated value; stay in exact Python ints beyond int64
-    if matrix.has_integer_weights() and matrix.n * t < 2**62:
-        rows = [(np.int64(r.mask), r.weight) for r in matrix.rows]
-        for lo in range(0, 1 << t, _CHUNK):
-            hi = min(lo + _CHUNK, 1 << t)
-            masks = np.arange(lo, hi, dtype=np.int64)
-            supp = np.zeros(hi - lo, dtype=np.int64)
-            match = np.zeros(hi - lo, dtype=np.int64)
-            for rmask, w in rows:
-                # bitwise_count returns uint8; widen before weighting
-                agree = t - np.bitwise_count(masks ^ rmask).astype(np.int64)
-                supp += w * (agree >= threshold)
-                match += w * agree
-            yield lo, hi, supp, match
-    else:
-        rows = [(r.mask, r.weight) for r in matrix.rows]
-        for lo in range(0, 1 << t, _CHUNK):
-            hi = min(lo + _CHUNK, 1 << t)
-            supp, match = [], []
-            for p in range(lo, hi):
-                s = 0
-                m = 0
-                for rmask, w in rows:
-                    agree = t - (rmask ^ p).bit_count()
-                    if agree >= threshold:
-                        s += w
-                    m += w * agree
-                supp.append(s)
-                match.append(m)
-            yield lo, hi, supp, match
+    rows = [(np.int64(r.mask), r.weight) for r in matrix.rows]
+    for lo in range(0, 1 << t, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, 1 << t), dtype=np.int64)
+        supp = np.zeros(masks.size, dtype=dtype)
+        match = np.zeros(masks.size, dtype=dtype)
+        for rmask, w in rows:
+            agree = (t - np.bitwise_count(masks ^ rmask)).astype(dtype)
+            supp += w * (agree >= threshold).astype(dtype)
+            match += w * agree
+        yield lo, supp, match
 
 
 def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
-    """Maximum Y-count over all majority-supported proposals."""
+    """Maximum Y-count over all majority-supported proposals.
+
+    Returns t without scanning when the all-Y proposal has majority support.
+    """
     _check_cap(matrix, max_topics)
     t = matrix.t
-    n = matrix.n
+    if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
+        return t
+    scaled, _, dtype = _integer(matrix)
     best = -1
-    for lo, hi, supp, match in _scan(matrix):
-        if isinstance(supp, np.ndarray):
-            ok = 2 * supp >= n
-            if ok.any():
-                masks = np.arange(lo, hi, dtype=np.int64)[ok]
-                best = max(best, int(np.bitwise_count(masks).max()))
-        else:
-            for p, s in zip(range(lo, hi), supp):
-                if 2 * s >= n:
-                    best = max(best, p.bit_count())
+    for lo, supp, _ in _scan(scaled, dtype):
+        ok = np.flatnonzero(2 * supp >= scaled.n)
+        if ok.size:
+            best = max(best, int(np.bitwise_count(ok + lo).max()))
     if best < 0:
         raise AssertionError("no majority-supported proposal; pair-support violated")
     return best
@@ -144,46 +146,45 @@ def best_representation(
 
     Ties are broken toward the larger Y-count, then the lexicographically
     smallest bitmask, so identical inputs always yield identical witnesses.
+
+    The column-majority proposal (Y exactly where 2*y_i >= n) maximizes the
+    match count and, among the proposals tied with it, has the most Ys; when
+    it has majority support it is the answer and no scan runs.
     """
     _check_cap(matrix, max_topics)
-    t = matrix.t
-    n = matrix.n
-    best = None  # (matches, ones, -mask) maximized
-    best_supp = None
-    for lo, hi, supp, match in _scan(matrix):
-        if isinstance(supp, np.ndarray):
-            ok = 2 * supp >= n
-            if not ok.any():
-                continue
-            masks = np.arange(lo, hi, dtype=np.int64)[ok]
-            svals = supp[ok]
-            mvals = match[ok]
-            keep = mvals == mvals.max()
-            masks, mvals, svals = masks[keep], mvals[keep], svals[keep]
-            ones = np.bitwise_count(masks)
-            keep = ones == ones.max()
-            masks, mvals, svals, ones = masks[keep], mvals[keep], svals[keep], ones[keep]
-            i = int(np.argmin(masks))
-            cand = (int(mvals[i]), int(ones[i]), -int(masks[i]))
-            if best is None or cand > best:
-                best = cand
-                best_supp = int(svals[i])
-        else:
-            for p, s, m in zip(range(lo, hi), supp, match):
-                if 2 * s >= n:
-                    cand = (m, p.bit_count(), -p)
-                    if best is None or cand > best:
-                        best = cand
-                        best_supp = s
-    if best is None:
-        raise AssertionError("no majority-supported proposal; pair-support violated")
-    value, _, neg_mask = best
+    scaled, unit, dtype = _integer(matrix)
+    t, n = scaled.t, scaled.n
+    ys = column_tally(scaled).y_weights
+    majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
+    supp = supporter_weight(scaled, majority)
+    if 2 * supp >= n:
+        value, mask = matches(scaled, majority), majority.mask
+    else:
+        value, mask, supp = _best_by_scan(scaled, dtype)
     return OracleResult(
-        best_proposal=Proposal(-neg_mask, t),
-        value=value,
-        supporter_weight=best_supp,
+        best_proposal=Proposal(mask, t),
+        value=value * unit,
+        supporter_weight=supp * unit,
         metric=Metric.MAX_MATCHES,
     )
+
+
+def _best_by_scan(matrix: VoterMatrix, dtype) -> tuple[int, int, int]:
+    """(matches, mask, supporter weight) of the best_representation winner."""
+    best = None  # (matches, ones, -mask, supporter weight) maximized; masks are distinct
+    for lo, supp, match in _scan(matrix, dtype):
+        ok = np.flatnonzero(2 * supp >= matrix.n)
+        if ok.size:
+            top = ok[match[ok] == match[ok].max()]
+            # argmax picks the first index with the most Ys: the smallest such mask
+            i = int(top[np.argmax(np.bitwise_count(top + lo))])
+            mask = lo + i
+            cand = (int(match[i]), mask.bit_count(), -mask, int(supp[i]))
+            if best is None or cand > best:
+                best = cand
+    if best is None:
+        raise AssertionError("no majority-supported proposal; pair-support violated")
+    return best[0], -best[2], best[3]
 
 
 def r_V(matrix: VoterMatrix, max_topics: int | None = None) -> Fraction:
@@ -191,11 +192,6 @@ def r_V(matrix: VoterMatrix, max_topics: int | None = None) -> Fraction:
     result = best_representation(matrix, max_topics)
     tally = column_tally(matrix)
     return Fraction(result.value) / (Fraction(matrix.n) * matrix.t * tally.m_V)
-
-
-def R_V(matrix: VoterMatrix, max_topics: int | None = None) -> Fraction:
-    result = best_representation(matrix, max_topics)
-    return Fraction(result.value) / (Fraction(matrix.n) * matrix.t)
 
 
 def half_proposal(matrix: VoterMatrix) -> Proposal:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from priceofmajority import lpsolve
+from priceofmajority import cli, lpsolve
 from priceofmajority.cli import format_significant, main
 
 
@@ -76,6 +76,35 @@ class TestAnalyze:
         path.write_text("Y" * 40 + "\n")
         code, _ = run(["analyze", str(path)])
         assert code == 3
+
+    def test_directory_is_a_file_error(self, tmp_path, capsys):
+        code, text = run(["analyze", str(tmp_path)])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unreadable_file(self, intro_file, monkeypatch, capsys):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        code, text = run(["analyze", intro_file])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Permission denied" in err
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_exit_code(self, intro_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli.oracle, "md_of", broken)
+        code, _ = run(["analyze", intro_file])
+        assert code == cli.EXIT_INTERNAL_ERROR == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: first line second line\n"
 
 
 class TestConstruct:

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from priceofmajority import (
     Proposal,
@@ -9,6 +12,7 @@ from priceofmajority import (
     VoterMatrix,
     absolute_representativeness,
     best_representation,
+    canonicalize,
     column_tally,
     has_majority_support,
     half_proposal,
@@ -17,8 +21,10 @@ from priceofmajority import (
     r_V,
     rule_of_three_fourths_check,
     theorem2_matrix,
+    theorem3_matrix,
 )
-from priceofmajority.core import VoterRow, agreements
+from priceofmajority import oracle
+from priceofmajority.core import VoterRow, agreements, matches, supporter_weight
 from priceofmajority.oracle import Metric, proposal_stats
 from priceofmajority.sampling import random_matrix
 
@@ -46,6 +52,13 @@ class TestMdOf:
         matrix = VoterMatrix(30, (VoterRow(0, 30),))
         with pytest.raises(ResourceLimitError):
             md_of(matrix)
+
+    def test_resource_cap_checked_before_short_cuts(self):
+        # all-Y is supported here, so only the cap stands between it and an answer
+        matrix = VoterMatrix(30, (VoterRow((1 << 30) - 1, 30),))
+        for fn in (md_of, best_representation):
+            with pytest.raises(ResourceLimitError):
+                fn(matrix)
 
 
 class TestBestRepresentation:
@@ -96,20 +109,162 @@ class TestBestRepresentation:
             )
             assert result.value == matrix.n * t - best_h
 
-    def test_python_and_numpy_paths_agree(self):
+    def test_rational_weights_scale_back(self):
+        # copies with weights w/d give the integer result divided by d, in Fractions;
+        # the copies hold mixed denominators (w=6 gives 3, 2, 6/7 and 1/7)
         rng = random.Random(9)
-        for _ in range(30):
+        for i in range(30):
             matrix = random_matrix(rng, max_t=6)
-            fractional = VoterMatrix(
-                matrix.t,
-                tuple(
-                    VoterRow(r.mask, r.t, Fraction(r.weight)) for r in matrix.rows
-                ),
-            )
+            if i % 2:  # random_matrix is canonical; flip some columns
+                matrix = _flipped((matrix, rng.randrange(1, 1 << matrix.t)))
             fast = best_representation(matrix)
-            slow = best_representation(fractional)
-            assert fast.best_proposal == slow.best_proposal
-            assert fast.value == slow.value
+            supp, match = proposal_stats(matrix)
+            for d in (1, 2, 3, 7, 42):
+                copy = VoterMatrix(
+                    matrix.t,
+                    tuple(VoterRow(r.mask, r.t, Fraction(r.weight, d)) for r in matrix.rows),
+                )
+                slow = best_representation(copy)
+                assert slow.best_proposal == fast.best_proposal
+                assert slow.value == Fraction(fast.value, d)
+                assert slow.supporter_weight == Fraction(fast.supporter_weight, d)
+                assert type(slow.value) is type(slow.supporter_weight) is Fraction
+                assert md_of(copy) == md_of(matrix)
+                copy_supp, copy_match = proposal_stats(copy)
+                assert copy_supp == [Fraction(x, d) for x in supp]
+                assert copy_match == [Fraction(x, d) for x in match]
+                assert all(type(x) is Fraction for x in copy_supp + copy_match)
+
+    def test_integer_weights_give_integer_results(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            matrix = random_matrix(rng, max_t=6)
+            result = best_representation(matrix)
+            assert type(result.value) is int and type(result.supporter_weight) is int
+            supp, match = proposal_stats(matrix)
+            assert all(type(x) is int for x in supp + match)
+
+    def test_sums_beyond_int64_run_on_python_ints(self):
+        # scaled n*t passes 2^62: the same scan runs with dtype=object
+        rng = random.Random(11)
+        for _ in range(20):
+            t = rng.randint(3, 7)
+            rows = tuple(
+                VoterRow(rng.randrange(1 << t), t, Fraction(2**64 + rng.randrange(1000), d))
+                for d in rng.sample((1, 3, 5, 7), rng.randint(1, 4))
+            )
+            matrix = VoterMatrix(t, rows)
+            scaled, unit, dtype = oracle._integer(matrix)
+            assert dtype is object and scaled.n * t >= 2**62
+            md, witness, value, supp = brute_force(matrix)
+            result = best_representation(matrix)
+            assert (result.best_proposal, result.value, result.supporter_weight) == (
+                witness,
+                value,
+                supp,
+            )
+            assert md_of(matrix) == md
+            stats_supp, stats_match = proposal_stats(matrix)
+            for p in range(1 << t):
+                proposal = Proposal(p, t)
+                assert stats_supp[p] == supporter_weight(matrix, proposal)
+                assert stats_match[p] == matches(matrix, proposal)
+
+
+def brute_force(matrix):
+    """(md, witness, matches, supporter weight) over all 2^t proposals via core."""
+    t = matrix.t
+    md, best = -1, None
+    for p in range(1 << t):
+        proposal = Proposal(p, t)
+        supp = supporter_weight(matrix, proposal)
+        if 2 * supp >= matrix.n:
+            md = max(md, p.bit_count())
+            cand = (matches(matrix, proposal), p.bit_count(), -p, supp)
+            if best is None or cand[:3] > best[:3]:
+                best = cand
+    return md, Proposal(-best[2], t), best[0], best[3]
+
+
+def oracle_matrices():
+    """Random integer matrices (t <= 7), their canonical forms and worst cases,
+    each as drawn or with columns flipped.
+
+    The worst cases (theorem2, lemma1, theorem3) leave the column-majority
+    proposal without majority support, so they reach the full scan.
+    """
+    rows = st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=5)),
+        min_size=1,
+        max_size=6,
+    )
+    random_rows = st.tuples(st.integers(min_value=1, max_value=7), rows).map(
+        lambda x: VoterMatrix(x[0], tuple(VoterRow(m % (1 << x[0]), x[0], w) for m, w in x[1]))
+    )
+    worst = st.one_of(
+        st.integers(min_value=1, max_value=5).map(theorem2_matrix),
+        st.integers(min_value=3, max_value=7).map(lemma1_matrix),
+        st.tuples(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=3))
+        .flatmap(lambda tk: st.integers(min_value=tk[1] + 1, max_value=2 * tk[1] + 1).map(
+            lambda M: theorem3_matrix(tk[0], tk[1], M)
+        )),
+    )
+    drawn = st.one_of(random_rows, random_rows.map(lambda m: canonicalize(m)[0]), worst)
+    return st.one_of(drawn, st.tuples(drawn, st.integers(min_value=1)).map(_flipped))
+
+
+def _flipped(drawn):
+    """Flip the columns set in a drawn mask."""
+    matrix, flip = drawn
+    flip %= 1 << matrix.t
+    return VoterMatrix(
+        matrix.t, tuple(VoterRow(r.mask ^ flip, r.t, r.weight) for r in matrix.rows)
+    )
+
+
+class TestAgainstBruteForce:
+    """Short-cuts and the scan both equal a brute force built from core."""
+
+    @given(oracle_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_md_and_best_representation(self, matrix):
+        t, n = matrix.t, matrix.n
+        md, witness, value, supp = brute_force(matrix)
+        all_y = Proposal((1 << t) - 1, t)
+        ys = column_tally(matrix).y_weights
+        majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            assert md_of(matrix) == md
+        # the md scan runs exactly when all-Y lacks majority support
+        assert scan.called != has_majority_support(matrix, all_y)
+        event("md short-cut" if not scan.called else "md scan")
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            result = best_representation(matrix)
+        assert result.best_proposal == witness
+        assert result.value == value
+        assert result.supporter_weight == supp
+        # the column-majority short-cut is taken exactly when it is supported
+        assert scan.called != has_majority_support(matrix, majority)
+        event("best short-cut" if not scan.called else "best scan")
+
+    def test_both_paths_are_exercised(self):
+        # md: all-Y decides; best_representation: the column-majority proposal decides
+        cases = (
+            (theorem2_matrix(4), True, True),
+            (lemma1_matrix(6), True, True),
+            (VoterMatrix.from_strings(["YNYY", "YNYY", "NYNN"]), False, False),
+            (VoterMatrix.from_strings(["NNY", "NNY", "YYN"]), True, False),
+        )
+        for matrix, md_scans, best_scans in cases:
+            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                md = md_of(matrix)
+            assert scan.called == md_scans
+            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                result = best_representation(matrix)
+            assert scan.called == best_scans
+            assert (md, result.best_proposal, result.value, result.supporter_weight) == (
+                brute_force(matrix)
+            )
 
 
 class TestProposalStats:
