@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .combinatorics import min_k
 from .core import ParameterError
-from .lpsolve import ma_table
+# ma_closed_form_full and ma_linear_lower stay importable from here
+from .lpsolve import ma_closed_form_full, ma_linear_lower, ma_table
 
 MaValues = list  # list of (w, ma) pairs as returned by ma_table
 
@@ -35,24 +36,6 @@ class RtBounds:
     analytic_upper: float
     details: tuple[BoundDetail, ...]
     exact: bool
-
-
-def ma_closed_form_full(t: int) -> Fraction:
-    """ma_t(t) = 1/2 + floor((t-1)/2)/(2t); below 3/4 for every t.
-
-    An average majority above this forces majority support for the all-Y
-    proposal, which is the Rule of Three-Fourths in sharpened form.
-    """
-    if t < 1:
-        raise ParameterError("requires t >= 1")
-    return Fraction(1, 2) + Fraction((t - 1) // 2, 2 * t)
-
-
-def ma_linear_lower(t: int, w: int) -> Fraction:
-    """Linear lower bound ma_t(w) >= w/(2t) + floor((t-1)/2)/(2t); tight at w = t."""
-    if not min_k(t) <= w <= t:
-        raise ParameterError(f"w must lie in [{min_k(t)}, {t}], got {w}")
-    return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
 
 
 def analytic_floor() -> Fraction:

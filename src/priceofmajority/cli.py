@@ -165,7 +165,7 @@ def cmd_ma(args, out) -> int:
         exact = t <= lpsolve.EXACT_T_CAP
     if exact and t > lpsolve.EXACT_T_CAP:
         raise ResourceLimitError(
-            f"t={t} exceeds the exact cap {lpsolve.EXACT_T_CAP}; pass --float"
+            f"t={t} exceeds the exact cap {lpsolve.EXACT_T_CAP}"
         )
     if args.w is not None:
         values = [

@@ -55,6 +55,45 @@ def s_kl(t: int, k: int, l: int) -> int:
     return sum(binomial(l, x) * binomial(t - l, k - x) for x in range(lo, k + 1))
 
 
+def s_kl_row(t: int, k: int) -> list[int]:
+    """The row [s_kl(t, k, l) for l = 0..t] by a recurrence in l.
+
+    F(l, m), the number of k-proposals sharing at least m Ys with the voter's
+    first l topics, obeys
+
+        F(l+1, m) = F(l, m) + C(l, m-1) * C(t-l-1, k-m)
+        F(l, m+1) = F(l, m) - C(l, m) * C(t-l, k-m)
+
+    from F(0, 0) = C(t, k), and s_kl = F(l, lo(l)) with the threshold lo(l)
+    of :func:`s_kl`, which rises by at most one per step in l. The binomials
+    p = C(l, m) and q = C(t-l, k-m) move with (l, m) by one multiplication
+    and one exact division each; a zero one is recomputed.
+    """
+    if t < 1:
+        raise ParameterError("s_kl_row requires t >= 1")
+    if not min_k(t) <= k <= t:
+        raise ParameterError(f"s_kl_row requires k in [{min_k(t)}, {t}], got k={k}")
+    comb = math.comb
+    row = []
+    m, f = 0, comb(t, k)
+    p, q = 1, f  # C(l, m), C(t - l, k - m)
+    for l in range(t + 1):
+        if l:  # from l - 1 to l at this m
+            n = t - l + 1
+            q = q * (n - k + m) // n if q else comb(t - l, k - m)
+            if m:
+                f += (p * m // (l - m) if p else comb(l - 1, m - 1)) * q
+            p = p * l // (l - m) if p else comb(l, m)
+        lo = _ceil_div(k + l - t // 2, 2)
+        while m < lo:
+            f -= p * q
+            p = p * (l - m) // (m + 1) if p else comb(l, m + 1)
+            q = q * (k - m) // (t - l - k + m + 1) if q else comb(t - l, k - m - 1)
+            m += 1
+        row.append(f)
+    return row
+
+
 def s_kl_oracle(t: int, k: int, l: int, voter_mask: int | None = None) -> int:
     """Count supported k-proposals by direct enumeration over all C(t, k) of them.
 

@@ -15,32 +15,70 @@ normalized by s_kl(t, k, t) so every coefficient is a rational in [0, 1].
 
 The constraint data of every w is a suffix of one integer table per t, the
 rows (s_kl(t, k, l))_l over C(t, k) = s_kl(t, k, t) for k = ceil((t+1)/2)..t.
-The exact solver is a dense tableau simplex on integers: each tableau row is
-an integer vector over one positive integer denominator, divided by its gcd
+Each row comes from the recurrence of :func:`.combinatorics.s_kl_row` in O(t)
+big-integer steps, and a call builds the table once.
+
+Working set. The optimal bases are tiny (for most w the support is
+{a, a+1, t} with two tight rows), so each w is solved on a restricted LP:
+the rows k in a working set R, the columns l in a working set L and the mass
+row, solved exactly by the integer simplex below. Each round then checks the
+restricted optimum x and its duals y against the full LP, in integers over
+one common denominator:
+
+- separation adds the row k >= w outside R that x violates most;
+- pricing adds the column l outside L with the largest positive reduced
+  cost under y.
+
+When neither adds anything, x (zero outside L) satisfies every row and y
+(zero outside R) prices every column out, with equal objectives: a primal
+and dual certificate of optimality for the full LP, in the manner of
+Applegate, Cook, Dash and Espinoza (Oper. Res. Lett. 35, 2007); adding rows
+and columns on demand is the row and column generation of Dantzig and Wolfe
+(1960) and Gilmore and Gomory (1961). Every round adds a row or a column and
+nothing is dropped within a solve, so the loop ends. A round does not start
+the simplex again: a new row is brought in by the dual simplex and a new
+column by the primal simplex, from the basis of the round before.
+:func:`ma_table` sweeps w from t down and seeds each w with the support and
+the positive-dual rows of w + 1.
+
+The degenerate row. For odd t and w = ceil((t+1)/2) every row is tight at
+the optimum, and simplex pivots through all of them. The paper's support-sum
+identity c_l = sum_k (2k - t) s_kl = l C(t-1, floor(t/2)) solves it directly:
+x_0 = x_t = 1/2 and the duals y_k = (2k - t) C(t, k) / (t C(t-1, floor(t/2)))
+make every dual constraint an equality, so ma = 1/2. Both are checked exactly
+against every row and column; a failed check raises, since the identity is a
+theorem.
+
+The integer simplex is a dense tableau on integers: each tableau row is an
+integer vector over one positive integer denominator, divided by its gcd
 after every pivot (fraction-free pivoting in the manner of Edmonds and
 Bareiss, with per-row reduction as in Avis's lrs). It holds the same
-rationals as a Fraction tableau and makes the same choices: Dantzig pricing,
-a switch to Bland's anti-cycling rule after a run of degenerate pivots, and
-ratio-test ties to the smaller basis index, so termination is guaranteed and
-results are deterministic. Values become Fractions only in the returned
-:class:`LpSolution`. A float fallback based on scipy's HiGHS backend extends
-sweeps to t around 1000.
+rationals as a Fraction tableau. The primal simplex prices by Dantzig's rule
+and breaks ratio-test ties lexicographically, which keeps it from stalling
+on the highly degenerate rows next to w = ceil((t+1)/2), where every row is
+tight; after a run of degenerate pivots it switches to Bland's anti-cycling
+rule, and the dual simplex uses Bland's rule throughout, so termination is
+guaranteed and results are deterministic. Values become Fractions only in
+the returned :class:`LpSolution`. A float variant on scipy's HiGHS backend
+is kept for comparison; a float row that breaks a proven property of
+ma_t(w) by more than 1e-9 is re-solved exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .combinatorics import binomial, min_k, s_kl
+from .combinatorics import binomial, min_k, s_kl_row
 from .core import ParameterError, ResourceLimitError, TypeProfile
 
 _rational = Fraction  # number type of exact results, recorded by environment reports
 
-EXACT_T_CAP = 200
+EXACT_T_CAP = 1000
 FLOAT_T_CAP = 1000
 _DEGENERATE_PIVOT_LIMIT = 30
+_FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,17 +112,29 @@ def _check_w(t: int, w: int) -> None:
 
 def _check_exact_t(t: int) -> None:
     if t > EXACT_T_CAP:
-        raise ResourceLimitError(
-            f"exact mode is capped at t={EXACT_T_CAP}; use float fallback"
-        )
+        raise ResourceLimitError(f"exact mode is capped at t={EXACT_T_CAP}")
+
+
+def ma_closed_form_full(t: int) -> Fraction:
+    """ma_t(t) = 1/2 + floor((t-1)/2)/(2t); below 3/4 for every t.
+
+    An average majority above this forces majority support for the all-Y
+    proposal, which is the Rule of Three-Fourths in sharpened form.
+    """
+    if t < 1:
+        raise ParameterError("requires t >= 1")
+    return Fraction(1, 2) + Fraction((t - 1) // 2, 2 * t)
+
+
+def ma_linear_lower(t: int, w: int) -> Fraction:
+    """Linear lower bound ma_t(w) >= w/(2t) + floor((t-1)/2)/(2t); tight at w = t."""
+    _check_w(t, w)
+    return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
 
 
 def _integer_rows(t: int, w: int) -> list[tuple[int, list[int]]]:
     """(C(t, k), [s_kl(t, k, l) for l = 0..t]) for k = w..t."""
-    return [
-        (binomial(t, k), [s_kl(t, k, l) for l in range(t + 1)])
-        for k in range(w, t + 1)
-    ]
+    return [(binomial(t, k), s_kl_row(t, k)) for k in range(w, t + 1)]
 
 
 def build_ma_lp(t: int, w: int) -> LinearProgram:
@@ -100,70 +150,180 @@ def build_ma_lp(t: int, w: int) -> LinearProgram:
     )
 
 
+class _Tableau:
+    """Dense simplex tableau for max c.x subject to a_i.x <= b_i, x >= 0, on integers.
+
+    Every row i has a slack with coefficient 1 in its own column, so the
+    slack entries of tableau row r are the multipliers of the original rows
+    that make up row r; :meth:`add_column` reads B^-1 a from them. Row i
+    also carries a scale d_i > 0: pricing weighs its slack's reduced cost by
+    d_i, as if the row were (a_i / d_i).x <= b_i / d_i. Tableau row r is an
+    integer vector over a positive denominator that is its own entry in its
+    basic column; the objective row keeps its denominator apart. Columns and
+    rows can be added to an optimal tableau, which is then re-optimized from
+    its basis: a new row by the dual simplex, a new column by the primal
+    simplex.
+    """
+
+    def __init__(self, c, rows):
+        """The slack basis of ``rows`` = [(a_i, b_i, d_i)] with integers b_i >= 0."""
+        m, n = len(rows), len(c)
+        self.T = []
+        for i, (a, b, _) in enumerate(rows):
+            row = list(a) + [0] * m + [b]
+            row[n + i] = 1
+            self.T.append(row)
+        self.scale = [1] * n + [d for _, _, d in rows]  # pricing weight per column
+        self.obj = [-v for v in c] + [0] * (m + 1)
+        self.obj_den = 1
+        self.basis = list(range(n, n + m))
+        self.slacks = list(self.basis)  # slack column of each row
+        self.pivots = 0
+
+    def add_column(self, c, a):
+        """A new variable with objective c and entries a (one per row, in row order)."""
+        terms = [(s, v) for s, v in zip(self.slacks, a) if v]
+        for row in self.T:
+            row.insert(-1, sum(row[s] * v for s, v in terms))
+        self.scale.append(1)
+        obj = self.obj
+        obj.insert(-1, sum(obj[s] * v for s, v in terms) - c * self.obj_den)
+
+    def add_row(self, a, b, d):
+        """A new row a.x <= b of scale d, ``a`` over the current columns; its slack is basic."""
+        for row in self.T:
+            row.insert(-1, 0)
+        self.obj.insert(-1, 0)
+        self.scale.append(d)
+        new = list(a) + [1, b]
+        for pivot_row, j in zip(self.T, self.basis):
+            if new[j]:
+                new = _eliminate(new, pivot_row, pivot_row[j], new[j])
+        self.T.append(new)
+        self.slacks.append(len(new) - 2)
+        self.basis.append(len(new) - 2)
+
+    def primal(self):
+        """Primal simplex from a primal feasible basis to an optimum.
+
+        Dantzig pricing with the lexicographic ratio test: a tie between rows
+        goes to the lexicographically smaller row of B^-1 over the pivot
+        entry. After a run of degenerate pivots it switches to Bland's rule
+        (smallest entering index, ties to the smaller basis index), which
+        rules out cycling.
+        """
+        T, basis = self.T, self.basis
+        degenerate_run = 0
+        while True:
+            obj = self.obj
+            bland = degenerate_run >= _DEGENERATE_PIVOT_LIMIT
+            # the objective row has one positive denominator: compare numerators
+            if not bland:
+                enter, best = None, 0
+                for j, d in enumerate(self.scale):
+                    if obj[j] * d < best:
+                        best, enter = obj[j] * d, j
+            else:
+                enter = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
+            if enter is None:
+                return
+            # ratio of row i is row[-1] / row[enter]: its denominator cancels
+            leave = None
+            for i, row in enumerate(T):
+                coef = row[enter]
+                if coef <= 0:
+                    continue
+                if leave is not None:
+                    here = row[-1] * T[leave][enter]
+                    there = T[leave][-1] * coef
+                    if here > there:
+                        continue
+                    if here == there:
+                        if bland:
+                            smaller = basis[i] < basis[leave]
+                        else:
+                            smaller = self._lex_smaller(row, T[leave], enter)
+                        if not smaller:
+                            continue
+                leave = i
+            if leave is None:
+                raise AssertionError("LP unbounded; the mass constraint is missing")
+            degenerate_run = degenerate_run + 1 if T[leave][-1] == 0 else 0
+            self._pivot(leave, enter)
+
+    def _lex_smaller(self, row, other, enter):
+        """Whether row[B^-1] / row[enter] is lexicographically below other's."""
+        a, b = row[enter], other[enter]
+        for s in self.slacks:
+            lhs, rhs = row[s] * b, other[s] * a
+            if lhs != rhs:
+                return lhs < rhs
+        return False
+
+    def dual(self):
+        """Dual simplex from a dual feasible basis to an optimum, by Bland's rule.
+
+        The row leaving is the infeasible one whose basic column has the
+        smallest index; the column entering has the smallest ratio
+        obj_j / -row_j over the row's negative entries, ties to the smaller
+        index, which rules out cycling.
+        """
+        T, basis = self.T, self.basis
+        while True:
+            infeasible = [i for i, row in enumerate(T) if row[-1] < 0]
+            if not infeasible:
+                return
+            leave = min(infeasible, key=basis.__getitem__)
+            row, obj = T[leave], self.obj
+            enter = None
+            for j in range(len(row) - 1):
+                coef = row[j]
+                if coef < 0 and (enter is None or obj[j] * row[enter] > obj[enter] * coef):
+                    enter = j
+            if enter is None:
+                raise AssertionError("restricted LP infeasible; x = 0 is always feasible")
+            T[leave] = [-v for v in row]
+            self._pivot(leave, enter)
+
+    def _pivot(self, leave, enter):
+        # the pivot row keeps its integers; its denominator becomes p > 0
+        T = self.T
+        pivot_row = T[leave]
+        p = pivot_row[enter]
+        for i, row in enumerate(T):
+            f = row[enter]
+            if i != leave and f:
+                T[i] = _eliminate(row, pivot_row, p, f)
+        f = self.obj[enter]
+        if f:  # the objective row carries its denominator as a last entry
+            obj = _eliminate(self.obj + [self.obj_den], pivot_row + [0], p, f)
+            self.obj_den = obj.pop()
+            self.obj = obj
+        self.basis[leave] = enter
+        self.pivots += 1
+
+    def primal_values(self):
+        """{column: value} of the basic columns, as Fractions."""
+        return {j: Fraction(row[-1], row[j]) for row, j in zip(self.T, self.basis)}
+
+    def value(self):
+        return Fraction(self.obj[-1], self.obj_den)
+
+
 def _simplex(c, rows):
-    """Maximize c.x subject to (a_i / d_i).x <= b_i / d_i, x >= 0, on integers.
+    """Maximize c.x subject to (a_i / d_i).x <= b_i / d_i, x >= 0 from the slack basis.
 
     ``c`` is a list of integers and ``rows`` a list of (a_i, b_i, d_i) with
-    integer a_i, integers b_i >= 0 and d_i > 0, so the slack basis is
-    feasible. Tableau row i is an integer vector over a positive denominator
-    that is its own entry in its basic column; the objective row keeps its
-    denominator apart. Returns (x, value, pivots) with x over the n
-    variables followed by the m slacks, as Fractions.
+    integer a_i, integers b_i >= 0 and d_i > 0. Returns (x, value, pivots)
+    with x over the n variables followed by the m slacks of a_i.x <= b_i, as
+    Fractions. The full-LP reference for the working-set solver.
     """
-    m, n = len(rows), len(c)
-    T = []
-    for i, (a, b, d) in enumerate(rows):
-        row = list(a) + [0] * m + [b]
-        row[n + i] = d
-        T.append(_reduced(row))
-    obj = [-v for v in c] + [0] * (m + 1)
-    obj_den = 1
-    basis = list(range(n, n + m))
-    pivots = 0
-    degenerate_run = 0
-    while True:
-        # the objective row has one positive denominator: compare numerators
-        if degenerate_run < _DEGENERATE_PIVOT_LIMIT:
-            enter, best = None, 0
-            for j in range(n + m):
-                if obj[j] < best:
-                    best, enter = obj[j], j
-        else:  # Bland: smallest index with negative reduced cost
-            enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
-        # ratio of row i is row[-1] / row[enter]: its denominator cancels
-        leave = None
-        for i in range(m):
-            coef = T[i][enter]
-            if coef > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                here = T[i][-1] * T[leave][enter]
-                there = T[leave][-1] * coef
-                if here < there or (here == there and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            raise AssertionError("LP unbounded; the mass constraint is missing")
-        pivot_row = T[leave]
-        degenerate_run = degenerate_run + 1 if pivot_row[-1] == 0 else 0
-        # the pivot row keeps its integers; its denominator becomes p
-        p = pivot_row[enter]
-        for i in range(m):
-            f = T[i][enter]
-            if i != leave and f:
-                T[i] = _eliminate(T[i], pivot_row, p, f)
-        f = obj[enter]
-        if f:  # the objective row carries its denominator as a last entry
-            obj = _eliminate(obj + [obj_den], pivot_row + [0], p, f)
-            obj_den = obj.pop()
-        basis[leave] = enter
-        pivots += 1
-    x = [Fraction(0)] * (n + m)
-    for row, var in zip(T, basis):
-        x[var] = Fraction(row[-1], row[var])
-    return x, Fraction(obj[-1], obj_den), pivots
+    tableau = _Tableau(c, rows)
+    tableau.primal()
+    x = [Fraction(0)] * (len(c) + len(rows))
+    for j, v in tableau.primal_values().items():
+        x[j] = v
+    return x, tableau.value(), tableau.pivots
 
 
 def _eliminate(row, pivot_row, p, f):
@@ -181,23 +341,108 @@ def _reduced(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _solve(t: int, w: int, rows) -> LpSolution:
-    """Exact optimum from the integer rows k = w..t of :func:`_integer_rows`.
+def _working_set_solve(t: int, w: int, rows, ks, ls):
+    """Certified optimum of ma_t(w) from the integer rows k = w..t.
 
-    The mass equality is solved as sum v'_l <= 1; any slack is absorbed into
-    v'_0, which has zero objective weight and appears in no inequality row
-    (a 0-voter never supports a proposal with more than half Ys). Row k
-    (s_kl / C(t, k)) v' <= 1/2 enters the simplex scaled by 2 C(t, k).
+    ``rows`` is :func:`_integer_rows` (t, w); the working set starts from the
+    rows ``ks`` and the columns ``ls``. Row k enters the tableau as
+    2 s_k.v' <= C(t, k), and the mass equality as sum v'_l <= 1: any slack is
+    absorbed into v'_0, which has zero objective weight and appears in no
+    inequality row (a 0-voter never supports a proposal with more than half
+    Ys), so column 0 never prices in. Each round re-optimizes the tableau of
+    the last round: the dual simplex after a new row, the primal simplex
+    after a new column. Returns (x, value, active, pivots, dual_ks): x maps
+    the support to v'_l (v'_0 takes the rest of the mass), value is
+    sum_l l v'_l = t ma_t(w), and dual_ks are the rows with positive duals.
     """
-    constraints = [([2 * s for s in row], c, 2 * c) for c, row in rows]
-    constraints.append(([1] * (t + 1), 1, 1))
-    objective = list(range(t + 1))
-    x, value, pivots = _simplex(objective, constraints)
-    fractions = x[: t + 1]
-    fractions[0] += 1 - sum(fractions)
-    active = tuple(
-        k for k, slack in zip(range(w, t + 1), x[t + 1 :]) if slack == 0
-    )
+    if t % 2 and w == min_k(t):
+        return _half_certificate(t, w, rows)
+    row_ks = sorted({k for k in ks if w <= k <= t})
+    col_ls = sorted({l for l in ls if 0 <= l <= t})
+    seed_rows = [
+        ([2 * rows[k - w][1][l] for l in col_ls], rows[k - w][0], 2 * rows[k - w][0])
+        for k in row_ks
+    ]
+    tableau = _Tableau(col_ls, seed_rows + [([1] * len(col_ls), 1, 1)])
+    row_ks.append(None)  # the mass row
+    column = {l: j for j, l in enumerate(col_ls)}  # tableau column of each l
+    tableau.primal()
+    while True:
+        # x on its support over one denominator
+        values = tableau.primal_values()
+        x = [(l, values[j]) for l, j in column.items() if values.get(j)]
+        den = lcm(*(v.denominator for _, v in x))
+        p = [(l, v.numerator * (den // v.denominator)) for l, v in x]
+        # separation: row k needs 2 s_k.p <= C(t, k) den
+        cut, cut_excess, cut_c = None, 0, 1
+        active = []
+        for k in range(w, t + 1):
+            c, row = rows[k - w]
+            excess = 2 * sum(row[l] * n for l, n in p) - c * den
+            if excess == 0:
+                active.append(k)
+            elif excess > 0 and excess * cut_c > cut_excess * c:  # most violated per C(t, k)
+                cut, cut_excess, cut_c = k, excess, c
+        # pricing over the objective row's denominator: l - sum_k 2 y_k s_kl - y_mass
+        obj = tableau.obj
+        duals = [(k, obj[s]) for k, s in zip(row_ks, tableau.slacks) if obj[s]]
+        weights = [(rows[k - w][1], 2 * y) for k, y in duals if k is not None]
+        base = tableau.obj_den
+        offset = sum(y for k, y in duals if k is None)
+        price, best = None, 0
+        for l in range(1, t + 1):
+            if l not in column:
+                reduced = l * base - offset - sum(row[l] * u for row, u in weights)
+                if reduced > best:
+                    price, best = l, reduced
+        if cut is None and price is None:
+            break
+        if cut is not None:
+            a = [0] * (len(tableau.obj) - 1)
+            for l, j in column.items():
+                a[j] = 2 * rows[cut - w][1][l]
+            tableau.add_row(a, rows[cut - w][0], 2 * rows[cut - w][0])
+            row_ks.append(cut)
+            tableau.dual()
+        if price is not None:
+            entries = [1 if k is None else 2 * rows[k - w][1][price] for k in row_ks]
+            tableau.add_column(price, entries)
+            column[price] = len(tableau.obj) - 2
+            tableau.primal()
+    dual_ks = tuple(k for k, _ in duals if k is not None)
+    return dict(x), tableau.value(), tuple(active), tableau.pivots, dual_ks
+
+
+def _half_certificate(t: int, w: int, rows):
+    """ma_t(w) = 1/2 at odd t and w = ceil((t+1)/2), from the support-sum identity.
+
+    x_0 = x_t = 1/2 is feasible with every row tight when s_k0 = 0 and
+    s_kt = C(t, k); the duals y_k = (2k - t) C(t, k) / (t C(t-1, floor(t/2)))
+    meet column l with equality when sum_k (2k - t) s_kl = l C(t-1, floor(t/2)),
+    and then both objectives are 1/2.
+    """
+    unit = binomial(t - 1, t // 2)
+    sums = [0] * (t + 1)
+    for k, (c, row) in zip(range(w, t + 1), rows):
+        if row[0] != 0 or row[t] != c:
+            raise AssertionError(f"x_0 = x_t = 1/2 is not tight on row k={k} at t={t}")
+        scale = 2 * k - t
+        sums = [a + scale * s for a, s in zip(sums, row)]
+    if sums != [l * unit for l in range(t + 1)]:
+        raise AssertionError(f"support-sum identity fails at t={t}")
+    every_row = tuple(range(w, t + 1))
+    return {t: Fraction(1, 2)}, Fraction(t, 2), every_row, 0, every_row
+
+
+def solve_ma(t: int, w: int) -> LpSolution:
+    """Exact optimum of the ma_t(w) LP."""
+    _check_exact_t(t)
+    _check_w(t, w)
+    x, value, active, pivots, _ = _working_set_solve(t, w, _integer_rows(t, w), (w,), (t,))
+    fractions = [Fraction(0)] * (t + 1)
+    for l, v in x.items():
+        fractions[l] = v
+    fractions[0] += 1 - sum(x.values())
     return LpSolution(
         t=t,
         w=w,
@@ -206,13 +451,6 @@ def _solve(t: int, w: int, rows) -> LpSolution:
         active=active,
         pivots=pivots,
     )
-
-
-def solve_ma(t: int, w: int) -> LpSolution:
-    """Exact optimum of the ma_t(w) LP."""
-    _check_exact_t(t)
-    _check_w(t, w)
-    return _solve(t, w, _integer_rows(t, w))
 
 
 def _normalized_coefficients_float(t: int):
@@ -232,8 +470,27 @@ def _normalized_coefficients_float(t: int):
     return hypergeom.sf(lo - 1, t, L, K)
 
 
+def _exact_as_float(t: int, w: int) -> LpSolution:
+    """The exact optimum of ma_t(w), reported in the float path's types."""
+    solution = solve_ma(t, w)
+    return LpSolution(
+        t=t,
+        w=w,
+        profile=tuple(float(v) for v in solution.profile.fractions),
+        ma=float(solution.ma),
+        active=solution.active,
+        pivots=solution.pivots,
+        exact=False,
+    )
+
+
 def solve_ma_float(t: int, w: int, _coeffs=None) -> LpSolution:
-    """Double-precision fallback for large t; results labeled approximate."""
+    """Double-precision solve for large t; results labeled approximate.
+
+    A result below :func:`ma_linear_lower`, or at w = t off
+    :func:`ma_closed_form_full`, by more than 1e-9 is replaced by the exact
+    optimum; results within 1e-9 are returned as HiGHS gives them.
+    """
     import numpy as np
     from scipy.optimize import linprog
 
@@ -255,6 +512,11 @@ def solve_ma_float(t: int, w: int, _coeffs=None) -> LpSolution:
     )
     if res.status != 0:
         raise AssertionError(f"float LP failed at t={t}, w={w}: {res.message}")
+    ma = float(-res.fun)
+    if ma < ma_linear_lower(t, w) - _FLOAT_TOLERANCE or (
+        w == t and abs(ma - ma_closed_form_full(t)) > _FLOAT_TOLERANCE
+    ):
+        return _exact_as_float(t, w)
     x = res.x
     lhs = A @ x
     residual = float(max(np.max(lhs - b, initial=0.0), abs(x.sum() - 1.0)))
@@ -265,7 +527,7 @@ def solve_ma_float(t: int, w: int, _coeffs=None) -> LpSolution:
         t=t,
         w=w,
         profile=tuple(x),
-        ma=float(-res.fun),
+        ma=ma,
         active=active,
         pivots=0,
         exact=False,
@@ -276,9 +538,11 @@ def solve_ma_float(t: int, w: int, _coeffs=None) -> LpSolution:
 def ma_table(t: int, exact: bool | None = None) -> list[tuple[int, Fraction | float]]:
     """(w, ma_t(w)) for every w in [ceil((t+1)/2), t].
 
-    ``exact=None`` picks exact mode up to the exact cap and the float
-    fallback beyond it. Exact mode builds the integer rows once and solves
-    each w on the suffix k = w..t.
+    ``exact=None`` picks exact mode up to the exact cap and the float path
+    beyond it. Exact mode builds the integer rows once and sweeps w from t
+    down, seeding each working set with the optimum of w + 1. In float mode
+    a row that breaks monotonicity in w by more than 1e-9 is re-solved
+    exactly, until no such pair is left.
     """
     if t < 1:
         raise ParameterError(f"ma_table requires t >= 1, got {t}")
@@ -288,8 +552,26 @@ def ma_table(t: int, exact: bool | None = None) -> list[tuple[int, Fraction | fl
     if exact:
         _check_exact_t(t)
         rows = _integer_rows(t, w0)
-        return [(w, _solve(t, w, rows[w - w0 :]).ma) for w in range(w0, t + 1)]
+        table = []
+        ks, ls = (), (t,)
+        for w in range(t, w0 - 1, -1):
+            x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], ks, ls)
+            ls = tuple(x)
+            table.append((w, value / t))
+        return table[::-1]
     coeffs = _normalized_coefficients_float(t)
-    return [
-        (w, solve_ma_float(t, w, _coeffs=coeffs).ma) for w in range(w0, t + 1)
-    ]
+    values = [solve_ma_float(t, w, _coeffs=coeffs).ma for w in range(w0, t + 1)]
+    resolved = set()
+    while True:
+        broken = {
+            j
+            for i in range(len(values) - 1)
+            if values[i] > values[i + 1] + _FLOAT_TOLERANCE
+            for j in (i, i + 1)
+        } - resolved
+        if not broken:
+            break
+        for i in broken:
+            values[i] = _exact_as_float(t, w0 + i).ma
+        resolved |= broken
+    return list(zip(range(w0, t + 1), values))

@@ -46,12 +46,20 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_bound_table():
-    expected_exact = {9: ("0.6363", "0.8787"), 49: ("0.7098", "0.8756"), 99: ("0.7076", "0.8574")}
     expected_float = {
         199: ("0.7028", "0.8379"),
         299: ("0.6989", "0.8265"),
         499: ("0.6943", "0.8124"),
         999: ("0.6882", "0.7944"),
+    }
+    expected_exact = {
+        9: ("0.6363", "0.8787"),
+        49: ("0.7098", "0.8756"),
+        99: ("0.7076", "0.8574"),
+        199: expected_float[199],
+        299: expected_float[299],
+        499: expected_float[499],
+        999: expected_float[999],
     }
     ok = True
     for t, (lo, hi) in expected_exact.items():

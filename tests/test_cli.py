@@ -185,7 +185,7 @@ class TestMa:
         assert rows[-1][2] == "0.7222"
 
     def test_exact_above_cap_rejected(self):
-        code, _ = run(["ma", "--t", "500", "--exact"])
+        code, _ = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), "--exact"])
         assert code == 3
 
     def test_csv_file_output(self, tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from priceofmajority import ParameterError, binomial, c_l, s_kl, s_kl_oracle
-from priceofmajority.combinatorics import min_k
+from priceofmajority.combinatorics import min_k, s_kl_row
 from priceofmajority.core import ResourceLimitError
 
 
@@ -45,6 +45,23 @@ class TestSkl:
             for k in range(min_k(t), t + 1):
                 for l in range(t + 1):
                     assert s_kl(t, k, l) <= binomial(t, k)
+
+
+class TestSklRow:
+    def test_recurrence_matches_formula(self):
+        for t in range(1, 61):
+            for k in range(min_k(t), t + 1):
+                assert s_kl_row(t, k) == [s_kl(t, k, l) for l in range(t + 1)], (t, k)
+
+    def test_sampled_rows_at_t199(self):
+        for k in (100, 101, 137, 198, 199):
+            assert s_kl_row(199, k) == [s_kl(199, k, l) for l in range(200)], k
+
+    def test_k_out_of_range_rejected(self):
+        with pytest.raises(ParameterError):
+            s_kl_row(9, 4)
+        with pytest.raises(ParameterError):
+            s_kl_row(0, 0)
 
 
 class TestSklOracle:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceofmajority import (
     ParameterError,
@@ -157,6 +160,110 @@ class TestIntegerSimplex:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+
+def _full_simplex_ma(t, w):
+    """ma_t(w) from the full-tableau simplex on every row of build_ma_lp."""
+    lp = build_ma_lp(t, w)
+    rows = []
+    for row, rhs in zip(lp.rows, lp.rhs):
+        scale = math.lcm(rhs.denominator, *(v.denominator for v in row))
+        rows.append(([int(v * scale) for v in row], int(rhs * scale), scale))
+    rows.append(([1] * (t + 1), 1, 1))
+    _, value, _ = lpsolve._simplex(list(range(t + 1)), rows)
+    return value / t
+
+
+class TestWorkingSet:
+    def test_equals_full_simplex_up_to_t41(self):
+        for t in range(1, 42):
+            for w in range(min_k(t), t + 1):
+                assert solve_ma(t, w).ma == _full_simplex_ma(t, w), (t, w)
+
+    def test_t99_table_equals_full_simplex(self):
+        assert ma_table(99, exact=True) == [
+            (w, _full_simplex_ma(99, w)) for w in range(min_k(99), 100)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_initial_working_set_reaches_the_optimum(self, data):
+        t = data.draw(st.integers(3, 30), label="t")
+        w = data.draw(st.integers(min_k(t), t), label="w")
+        ks = data.draw(st.sets(st.integers(w, t)), label="ks")
+        ls = data.draw(st.sets(st.integers(0, t)), label="ls")
+        x, value, active, _, _ = lpsolve._working_set_solve(
+            t, w, lpsolve._integer_rows(t, w), ks, ls
+        )
+        assert value / t == solve_ma(t, w).ma
+        assert all(v > 0 for v in x.values()) and sum(x.values()) <= 1
+        assert value == sum(l * v for l, v in x.items())
+        tight = tuple(
+            k
+            for k in range(w, t + 1)
+            if 2 * sum(_supported(t, k, l) * v for l, v in x.items()) == math.comb(t, k)
+        )
+        assert active == tight
+
+    def test_half_certificate_for_odd_t(self):
+        for t in range(1, 302, 2):
+            w = min_k(t)
+            solution = solve_ma(t, w)
+            assert solution.ma == Fraction(1, 2), t
+            assert solution.pivots == 0
+            assert solution.active == tuple(range(w, t + 1))
+
+    def test_half_certificate_checks_the_identity(self):
+        t = 9
+        rows = lpsolve._integer_rows(t, min_k(t))
+        rows[2][1][4] += 1
+        with pytest.raises(AssertionError):
+            lpsolve._working_set_solve(t, min_k(t), rows, (), (t,))
+
+
+class TestFloatGuard:
+    def test_floor_at_t499(self):
+        assert solve_ma(499, 250).ma == Fraction(1, 2)
+        assert solve_ma_float(499, 250).ma == 0.5
+
+    @staticmethod
+    def _raise_highs_ma(monkeypatch, shift):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+
+        def shifted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.fun -= shift
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "linprog", shifted)
+
+    def test_closed_form_at_w_equals_t(self, monkeypatch):
+        self._raise_highs_ma(monkeypatch, 1e-6)  # above the floor, off the closed form
+        assert solve_ma_float(15, 15).ma == float(solve_ma(15, 15).ma)
+        assert solve_ma_float(15, 12).ma > float(solve_ma(15, 12).ma)
+
+    def test_rows_within_tolerance_are_kept(self, monkeypatch):
+        self._raise_highs_ma(monkeypatch, -1e-10)  # below the floor 1/2, within 1e-9
+        assert 0.5 - 1e-9 < solve_ma_float(15, 8).ma < 0.5
+
+    def test_monotonicity_in_the_table(self, monkeypatch):
+        real = lpsolve.solve_ma_float
+
+        def bumped(t, w, _coeffs=None):
+            solution = real(t, w, _coeffs=_coeffs)
+            if w == 12:
+                solution = dataclasses.replace(solution, ma=solution.ma + 0.1)
+            return solution
+
+        monkeypatch.setattr(lpsolve, "solve_ma_float", bumped)
+        table = ma_table(17, exact=False)
+        exact = dict(ma_table(17, exact=True))
+        assert dict(table)[12] == float(exact[12])
+        assert dict(table)[13] == float(exact[13])
+        values = [v for _, v in table]
+        assert values == sorted(values)
 
 
 class TestMaTable:
