@@ -1,18 +1,23 @@
 """Exhaustive ground truth over all 2^t proposals.
 
-Enumerates proposals as bitmasks 0..2^t-1 and evaluates agreements with
-bitwise XOR + popcount against the (weighted) voter rows in one vectorized
-numpy scan. Rational weights are scaled to integers by their common
-denominator and results are mapped back to the matrix's units; sums are int64
-while the scaled n*t < 2^62 and Python ints (``dtype=object``) beyond, on the
-same code.
-No scan runs when the answer is known from an O(rows*t) check: ``md_of`` is t
-when all-Y has majority support, and ``best_representation`` returns the
-column-majority proposal when it has majority support.
+Proposals are bitmasks, visited one Y-count level k at a time from k = t
+down; a level is skipped when the voters that can reach it weigh less than
+n/2 (one with l Ys agrees with a k-Y proposal on at most t - |k - l| topics).
+A level's masks are joined from popcount-grouped tables of the low and high
+halves of the bits, in blocks of at most ``_CHUNK`` (never 2^t at once), and
+their supporter weights come from a vectorized XOR + popcount scan. Match
+counts add up over the topics and are read from two half tables of the
+column tally. ``md_of`` stops at the first level with a supported proposal,
+``best_representation`` once no lower level can beat the best found. No scan
+runs when an O(rows*t) check gives the answer: ``md_of`` is t when all-Y has
+majority support, and ``best_representation`` returns the column-majority
+proposal when it has majority support.
 
-At least one of any proposal/opposite pair always has majority support (their
-supporter weights sum to at least n), so the maxima computed here are taken
-over a nonempty set.
+Rational weights are scaled to integers by their common denominator and
+results are mapped back to the matrix's units; sums are int64 while the
+scaled n*t < 2^62 and Python ints (``dtype=object``) beyond, on the same code.
+Of any proposal and its opposite at least one has majority support (their
+supporter weights sum to at least n), so every maximum here is over a nonempty set.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,17 +80,16 @@ def _check_cap(matrix: VoterMatrix, max_topics: int | None) -> None:
 def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
-    Intended for small t (hard limit 20); the scanning reductions below should
-    be used for anything larger. Values are in the matrix's own weight units.
+    Intended for small t (hard limit 20); the level search below should be
+    used for anything larger. Values are in the matrix's own weight units.
     """
     if matrix.t > 20:
         raise ResourceLimitError("proposal_stats materializes 2^t values; t > 20")
     scaled, unit, dtype = _integer(matrix)
-    supp, match = [], []
-    for _, s, m in _scan(scaled, dtype):
-        supp.extend(x * unit for x in s.tolist())
-        match.extend(x * unit for x in m.tolist())
-    return supp, match
+    masks = np.arange(1 << matrix.t, dtype=np.int64)
+    supp = _scan(scaled.rows, matrix.t, masks, dtype)
+    match = _matcher(column_tally(scaled).y_weights, scaled.n, dtype)(masks)
+    return [x * unit for x in supp.tolist()], [x * unit for x in match.tolist()]
 
 
 def _integer(matrix: VoterMatrix):
@@ -95,48 +100,78 @@ def _integer(matrix: VoterMatrix):
     """
     scaled, scale = scale_to_integer_weights(matrix)
     unit = 1 if matrix.has_integer_weights() else Fraction(1, scale)
-    # n * t bounds every accumulated value
-    dtype = np.int64 if scaled.n * scaled.t < 2**62 else object
+    dtype = np.int64 if scaled.n * scaled.t < 2**62 else object  # n*t bounds every sum
     return scaled, unit, dtype
 
 
-def _scan(matrix: VoterMatrix, dtype):
-    """Yield (lo, supporter_weights, matches) per chunk of masks lo, lo+1, ...
+def _scan(rows, t: int, masks, dtype):
+    """Supporter weights, summed in ``dtype``, of ``masks`` from integer-weight ``rows``."""
+    reach = t - support_threshold(t)
+    supp = np.zeros(masks.size, dtype=dtype)
+    for row in rows:
+        supp += row.weight * (np.bitwise_count(masks ^ row.mask) <= reach).astype(dtype)
+    return supp
 
-    ``matrix`` has integer weights; both sums are accumulated in ``dtype``.
-    """
-    t = matrix.t
-    threshold = support_threshold(t)
-    rows = [(np.int64(r.mask), r.weight) for r in matrix.rows]
-    for lo in range(0, 1 << t, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, 1 << t), dtype=np.int64)
-        supp = np.zeros(masks.size, dtype=dtype)
-        match = np.zeros(masks.size, dtype=dtype)
-        for rmask, w in rows:
-            agree = (t - np.bitwise_count(masks ^ rmask)).astype(dtype)
-            supp += w * (agree >= threshold).astype(dtype)
-            match += w * agree
-        yield lo, supp, match
+
+def _matcher(ys, n: int, dtype):
+    """Match counts of an array of masks: with h = t // 2, those of the low h
+    topics plus those of the rest, each read from a table of 2^(t/2) sums."""
+    h, tables = len(ys) // 2, []
+    for half in (ys[:h], ys[h:]):
+        table = np.array([sum(n - y for y in half)], dtype=dtype)
+        for y in half:  # the masks with this topic's bit set gain 2*y - n
+            table = np.concatenate([table, table + (2 * y - n)])
+        tables.append(table)
+    return lambda masks: tables[0][masks & ((1 << h) - 1)] + tables[1][masks >> h]
+
+
+def _level(k: int, low, high):
+    """Yield the masks with k ones in blocks of at most _CHUNK, joining each
+    high half with k - j ones (``high[k - j]``) to each low half with j."""
+    parts = []
+    for j in range(max(0, k - len(high) + 1), min(len(low), k + 1)):
+        los, his = low[j], high[k - j][:, None]
+        step = max(1, _CHUNK // los.size)
+        for b in range(0, his.size, step):
+            for a in range(0, los.size, _CHUNK):
+                part = (his[b : b + step] | los[a : a + _CHUNK]).ravel()
+                if sum(x.size for x in parts) + part.size > _CHUNK:
+                    yield np.concatenate(parts)
+                    parts = []
+                parts.append(part)
+    yield np.concatenate(parts)
+
+
+def _levels(matrix: VoterMatrix, dtype, top: int):
+    """Yield (k, blocks) for each level k = top..0 whose possible supporters
+    weigh at least n/2; ``blocks`` lazily yields (masks, supporter weights)."""
+    t, h = matrix.t, matrix.t // 2
+    reach = t - support_threshold(t)
+    masks = np.arange(1 << (t - h), dtype=np.int64)  # t - h >= h bits
+    counts = np.bitwise_count(masks)
+    low = [masks[: 1 << h][counts[: 1 << h] == j] for j in range(h + 1)]
+    high = [masks[counts == j] << h for j in range(t - h + 1)]
+    for k in range(top, -1, -1):
+        near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= reach]
+        if 2 * sum(r.weight for r in near) >= matrix.n:
+            yield k, ((m, _scan(near, t, m, dtype)) for m in _level(k, low, high))
 
 
 def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
     """Maximum Y-count over all majority-supported proposals.
 
-    Returns t without scanning when the all-Y proposal has majority support.
+    Returns t without scanning when the all-Y proposal has majority support;
+    otherwise the first level, from t - 1 down, with a supported proposal.
     """
     _check_cap(matrix, max_topics)
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
     scaled, _, dtype = _integer(matrix)
-    best = -1
-    for lo, supp, _ in _scan(scaled, dtype):
-        ok = np.flatnonzero(2 * supp >= scaled.n)
-        if ok.size:
-            best = max(best, int(np.bitwise_count(ok + lo).max()))
-    if best < 0:
-        raise AssertionError("no majority-supported proposal; pair-support violated")
-    return best
+    for k, blocks in _levels(scaled, dtype, t - 1):
+        if any(2 * supp.max() >= scaled.n for _, supp in blocks):
+            return k
+    raise AssertionError("no majority-supported proposal; pair-support violated")
 
 
 def best_representation(
@@ -160,7 +195,7 @@ def best_representation(
     if 2 * supp >= n:
         value, mask = matches(scaled, majority), majority.mask
     else:
-        value, mask, supp = _best_by_scan(scaled, dtype)
+        value, mask, supp = _best_by_scan(scaled, dtype, ys)
     return OracleResult(
         best_proposal=Proposal(mask, t),
         value=value * unit,
@@ -169,20 +204,24 @@ def best_representation(
     )
 
 
-def _best_by_scan(matrix: VoterMatrix, dtype) -> tuple[int, int, int]:
+def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
-    best = None  # (matches, ones, -mask, supporter weight) maximized; masks are distinct
-    for lo, supp, match in _scan(matrix, dtype):
-        ok = np.flatnonzero(2 * supp >= matrix.n)
-        if ok.size:
-            top = ok[match[ok] == match[ok].max()]
-            # argmax picks the first index with the most Ys: the smallest such mask
-            i = int(top[np.argmax(np.bitwise_count(top + lo))])
-            mask = lo + i
-            cand = (int(match[i]), mask.bit_count(), -mask, int(supp[i]))
-            if best is None or cand > best:
-                best = cand
-    if best is None:
+    n = matrix.n
+    # cap[k]: the most matches with at most k Ys, sum(n - y_i) plus the k largest
+    # gains max(2*y_i - n, 0); the search stops there, as a lower level loses ties
+    gains = sorted((max(2 * y - n, 0) for y in ys), reverse=True)
+    cap = list(accumulate(gains, initial=sum(n - y for y in ys)))
+    match_of = _matcher(ys, n, dtype)
+    best = (-1,)  # (matches, ones, -mask, supporter weight), maximized; masks are distinct
+    for k, blocks in _levels(matrix, dtype, matrix.t):
+        if cap[k] <= best[0]:
+            break
+        for masks, supp in blocks:
+            match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
+            top = np.flatnonzero(match == match.max())
+            i = top[np.argmin(masks[top])]
+            best = max(best, (int(match[i]), k, -int(masks[i]), int(supp[i])))
+    if best[0] < 0:
         raise AssertionError("no majority-supported proposal; pair-support violated")
     return best[0], -best[2], best[3]
 

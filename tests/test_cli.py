@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from priceofmajority import cli, lpsolve
+from priceofmajority import Proposal, cli, lemma1_matrix, lpsolve, matrixio
 from priceofmajority.cli import format_significant, main
+from priceofmajority.core import has_majority_support, matches
 
 
 def run(argv):
@@ -54,6 +55,20 @@ class TestAnalyze:
         assert "R_V: 37/63 (0.5873)\n" in text
         assert "r_V: 37/39 (0.9487)\n" in text
         assert "witness: YNNYYYY\n" in text
+
+    def test_lemma1_beyond_one_chunk(self, tmp_path):
+        # 2^21 proposals, twice the oracle's 2^20-mask chunk
+        matrix = lemma1_matrix(21)
+        path = tmp_path / "lemma1.txt"
+        path.write_text(matrixio.write_matrix(matrix))
+        code, text = run(["analyze", str(path)])
+        assert code == 0
+        assert "md: 11\n" in text
+        fields = dict(line.split(": ", 1) for line in text.splitlines())
+        assert fields["flip_mask"] == "N" * 21  # canonical, so the witness is in input terms
+        witness = Proposal.from_string(fields["witness"])
+        assert has_majority_support(matrix, witness)
+        assert int(fields["best_matches"]) == matches(matrix, witness)
 
     def test_metric_selection(self, intro_file):
         code, text = run(["analyze", intro_file, "--metric", "md"])

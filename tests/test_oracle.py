@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import pytest
@@ -24,7 +26,13 @@ from priceofmajority import (
     theorem3_matrix,
 )
 from priceofmajority import oracle
-from priceofmajority.core import VoterRow, agreements, matches, supporter_weight
+from priceofmajority.core import (
+    VoterRow,
+    agreements,
+    matches,
+    support_threshold,
+    supporter_weight,
+)
 from priceofmajority.oracle import Metric, proposal_stats
 from priceofmajority.sampling import random_matrix
 
@@ -340,3 +348,139 @@ class TestRelativeFloor:
             matrix = random_matrix(rng)
             t = matrix.t
             assert r_V(matrix) >= Fraction(2, 3) - Fraction(4, 3 * t)
+
+
+def _level_walk(matrix):
+    """(levels scanned, levels skipped, how it ended) of the best_representation
+    level search, restated from core: a level is skipped when the voters within
+    t - |k - l| >= threshold of it weigh under n/2, and the search stops before
+    level k when sum(n - y_i) plus the k largest positive gains 2*y_i - n is no
+    more than the best match count found."""
+    t, n = matrix.t, matrix.n
+    ys = sorted(column_tally(matrix).y_weights, key=lambda y: -y)
+    best, scanned, skipped = None, [], []
+    for k in range(t, -1, -1):
+        cap = sum(n - y for y in ys) + sum(max(2 * y - n, 0) for y in ys[:k])
+        if best is not None and cap <= best:
+            return scanned, skipped, "score stop"
+        if 2 * _reach(matrix, k) < n:
+            skipped.append(k)
+            continue
+        scanned.append(k)
+        for p in range(1 << t):
+            proposal = Proposal(p, t)
+            if p.bit_count() == k and has_majority_support(matrix, proposal):
+                best = max(best or 0, matches(matrix, proposal))
+    return scanned, skipped, "full sweep"
+
+
+def _reach(matrix, k):
+    """Weight of the voters that can support some k-Y proposal."""
+    t = matrix.t
+    near = (r for r in matrix.rows if t - abs(k - r.mask.bit_count()) >= support_threshold(t))
+    return sum(r.weight for r in near)
+
+
+def _scanned(scan):
+    """(popcounts of the masks passed to a wrapped _scan, how many masks)."""
+    masks = [int(m) for call in scan.call_args_list for m in call.args[2]]
+    return {m.bit_count() for m in masks}, len(masks)
+
+
+class TestLevelSearch:
+    """The level search examines only the levels the two bounds leave."""
+
+    @given(oracle_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_levels_scanned_follow_the_bounds(self, matrix):
+        t, n = matrix.t, matrix.n
+        ys = column_tally(matrix).y_weights
+        majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            result = best_representation(matrix)
+        if has_majority_support(matrix, majority):
+            assert not scan.called
+            return
+        scanned, skipped, how = _level_walk(matrix)
+        levels, count = _scanned(scan)
+        assert levels == set(scanned)
+        assert count == sum(comb(t, k) for k in scanned)
+        event(how)
+        if skipped:
+            event("level skipped")
+        assert has_majority_support(matrix, result.best_proposal)
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            md = md_of(matrix)
+        if scan.called:
+            assert _scanned(scan)[0] == {k for k in range(md, t) if 2 * _reach(matrix, k) >= n}
+
+    @pytest.mark.parametrize("t", range(8, 15))
+    def test_worst_cases_scan_one_level(self, t):
+        # md and best both sit on one level, C(t, ceil((t+1)/2)) masks at most
+        limit = comb(t, (t + 2) // 2)
+        cases = [lemma1_matrix(t)] + [theorem3_matrix(t, t - 1, M) for M in range(t, 2 * t)]
+        for matrix in cases:
+            for fn in (md_of, best_representation):
+                with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                    fn(matrix)
+                assert _scanned(scan)[1] <= limit
+        assert md_of(cases[0]) == (t + 2) // 2
+
+    def test_full_sweep_without_score_stop(self):
+        # column Y-weights 3, 3, 4 of n = 8: the all-N winner sits on the last
+        # level, so the score bound never cuts and levels 2, 1 and 0 are scanned
+        matrix = VoterMatrix.from_strings(["NNY", "YYY", "YNN", "NYN"], weights=[3, 1, 2, 2])
+        assert column_tally(matrix).y_weights == (3, 3, 4)
+        assert _level_walk(matrix) == ([2, 1, 0], [3], "full sweep")
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            result = best_representation(matrix)
+        assert _scanned(scan) == ({0, 1, 2}, 7)
+        md, witness, value, supp = brute_force(matrix)
+        assert (result.best_proposal, result.value, result.supporter_weight) == (
+            witness,
+            value,
+            supp,
+        )
+        assert witness.mask == 0 and md_of(matrix) == md
+
+    @pytest.mark.parametrize("chunk", [2**4, 2])
+    def test_blocks_split_across_chunks(self, monkeypatch, chunk):
+        # with the default chunk every level up to t = 22 is one block; tiny
+        # chunks split levels (and, at chunk 2, the low-half groups), so the
+        # tie-breaks run between blocks
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        rng = random.Random(37)
+        cases = [lemma1_matrix(t) for t in (7, 9, 10)]
+        cases += [theorem3_matrix(t, t - 1, M) for t, M in ((8, 9), (9, 9), (10, 11))]
+        cases += [theorem3_matrix(10, 3, 5), theorem2_matrix(3)]
+        cases += [random_matrix(rng, max_t=10, max_rows=8) for _ in range(12)]
+        split = False
+        for i, matrix in enumerate(cases):
+            if i % 2:
+                matrix = _flipped((matrix, rng.randrange(1, 1 << matrix.t)))
+            rows = []
+            for j, r in enumerate(matrix.rows):  # mixed denominators 1, 2 and 3
+                rows.append(VoterRow(r.mask, r.t, Fraction(r.weight, 1 + j % 3)))
+            matrix = VoterMatrix(matrix.t, tuple(rows))
+            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                md = md_of(matrix)
+                result = best_representation(matrix)
+            assert all(call.args[2].size <= chunk for call in scan.call_args_list)
+            split |= scan.call_count > 2 * len(_scanned(scan)[0])  # more blocks than levels
+            assert (md, result.best_proposal, result.value, result.supporter_weight) == (
+                brute_force(matrix)
+            )
+        assert split
+
+    def test_memory_stays_below_the_full_scan(self):
+        # a scan over all 2^t masks in 2^20-mask chunks peaks at about 64 MiB
+        # here; a level is built in blocks and no array holds 2^t masks
+        matrix = lemma1_matrix(22)
+        for fn in (md_of, best_representation):
+            tracemalloc.start()
+            try:
+                fn(matrix)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 2**20
