@@ -3,7 +3,8 @@
 r_t is the smallest, over all voter matrices with t topics, best relative
 representativeness achievable by a majority-supported proposal ("price of
 majority support"). The numeric bounds are driven by the ma_t(w) values from
-:mod:`.lpsolve`; everything rational stays exact until rendering.
+:mod:`.lpsolve` and take their number type: exact values give Fractions,
+float values give floats.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class RtBounds:
     upper: Fraction | float
     analytic_upper: float
     details: tuple[BoundDetail, ...]
-    exact: bool
 
 
 def analytic_floor() -> Fraction:
@@ -51,10 +51,6 @@ def rt_analytic_upper(t: int) -> float:
     return 2 * math.sqrt(6) - 4 + correction
 
 
-def _is_exact(ma_values) -> bool:
-    return all(isinstance(v, (Fraction, int)) for _, v in ma_values)
-
-
 def _lower_candidate(t, w, ma_next):
     """max(w/(2t-w), (t-2)/(2t ma_next)); a Fraction when ma_next is exact."""
     one = Fraction(1) if isinstance(ma_next, (Fraction, int)) else 1.0
@@ -64,6 +60,13 @@ def _lower_candidate(t, w, ma_next):
 def _upper_candidate(t, w, ma):
     num = (w - 1) * ma + (t - w + 1) * (1 - ma)
     return num / (t * ma)
+
+
+def _lower_candidates(t, ma_values) -> list:
+    """The lower candidate of each w, with ma_t(t+1) = 1 in the values' number type."""
+    by_w = dict(ma_values)
+    one = type(ma_values[-1][1])(1)
+    return [_lower_candidate(t, w, by_w.get(w + 1, one)) for w, _ in ma_values]
 
 
 def rt_upper_numeric(t: int, ma_values) -> Fraction | float:
@@ -83,9 +86,7 @@ def rt_lower_numeric(t: int, ma_values) -> Fraction | float:
     average majority admits a w-proposal with majority support; the second
     comes from the guaranteed near-half-representativeness proposal.
     """
-    by_w = dict(ma_values)
-    one = Fraction(1) if _is_exact(ma_values) else 1.0
-    return min(_lower_candidate(t, w, by_w.get(w + 1, one)) for w, _ in ma_values)
+    return min(_lower_candidates(t, ma_values))
 
 
 def figure2_points(t: int, ma_values) -> list[tuple[Fraction | float, Fraction | float]]:
@@ -93,61 +94,39 @@ def figure2_points(t: int, ma_values) -> list[tuple[Fraction | float, Fraction |
 
     x = (w - ceil((t+1)/2)) / floor((t-1)/2) and
     y = (ma_t(w) - 1/2) / (floor((t-1)/2) / (2t)). For small t the curve is
-    the line y = x; for larger t it bows above it.
+    the line y = x; for larger t it bows above it. x is a Fraction and y has
+    the number type of ma.
     """
     if t < 3:
         raise ParameterError("requires t >= 3")
     w0 = min_k(t)
     span = (t - 1) // 2
-    exact = _is_exact(ma_values)
-    points = []
-    for w, ma in ma_values:
-        if exact:
-            x = Fraction(w - w0, span)
-            y = (ma - Fraction(1, 2)) / Fraction(span, 2 * t)
-        else:
-            x = (w - w0) / span
-            y = (ma - 0.5) / (span / (2 * t))
-        points.append((x, y))
-    return points
+    return [
+        (Fraction(w - w0, span), (ma - Fraction(1, 2)) / Fraction(span, 2 * t))
+        for w, ma in ma_values
+    ]
 
 
-def rt_bounds(t: int, exact: bool | None = None) -> RtBounds:
+def rt_bounds(t: int, exact: bool = True) -> RtBounds:
     """Lower/upper bounds on r_t from a full ma_t(w) sweep.
 
-    For t = 1 and t = 2 the topic-wise majority always has majority support,
-    so both bounds are exactly 1 and no LP is solved.
+    ``exact=False`` derives them from the float values of the same certified
+    sweep. For t = 1 and t = 2 the topic-wise majority always has majority
+    support, so both bounds are exactly 1 and no LP is solved.
     """
     if t < 1:
         raise ParameterError("requires t >= 1")
     if t <= 2:
-        return RtBounds(
-            t=t,
-            lower=Fraction(1),
-            upper=Fraction(1),
-            analytic_upper=1.0,
-            details=(),
-            exact=True,
-        )
+        return RtBounds(t=t, lower=Fraction(1), upper=Fraction(1), analytic_upper=1.0, details=())
     values = ma_table(t, exact=exact)
-    is_exact = _is_exact(values)
-    by_w = dict(values)
-    one = Fraction(1) if is_exact else 1.0
-    details = []
-    for w, ma in values:
-        details.append(
-            BoundDetail(
-                w=w,
-                ma=ma,
-                lower_candidate=_lower_candidate(t, w, by_w.get(w + 1, one)),
-                upper_candidate=_upper_candidate(t, w, ma),
-            )
-        )
+    details = tuple(
+        BoundDetail(w=w, ma=ma, lower_candidate=lower, upper_candidate=_upper_candidate(t, w, ma))
+        for (w, ma), lower in zip(values, _lower_candidates(t, values))
+    )
     return RtBounds(
         t=t,
-        lower=min(d.lower_candidate for d in details),
-        upper=min(d.upper_candidate for d in details),
+        lower=rt_lower_numeric(t, values),
+        upper=rt_upper_numeric(t, values),
         analytic_upper=rt_analytic_upper(t),
-        details=tuple(details),
-        exact=is_exact,
+        details=details,
     )

@@ -156,23 +156,12 @@ def cmd_construct(args, out) -> int:
 
 def cmd_ma(args, out) -> int:
     t = args.t
-    exact = None
-    if args.exact:
-        exact = True
-    elif args.float:
-        exact = False
-    if exact is None:
-        exact = t <= lpsolve.EXACT_T_CAP
-    if exact and t > lpsolve.EXACT_T_CAP:
-        raise ResourceLimitError(
-            f"t={t} exceeds the exact cap {lpsolve.EXACT_T_CAP}"
-        )
     if args.w is not None:
-        values = [
-            (args.w, (lpsolve.solve_ma if exact else lpsolve.solve_ma_float)(t, args.w).ma)
-        ]
+        values = [(args.w, lpsolve.solve_ma(t, args.w).ma)]
     else:
-        values = lpsolve.ma_table(t, exact=exact)
+        values = lpsolve.ma_table(t)
+    if args.float:
+        values = [(w, float(ma)) for w, ma in values]
     points = dict(zip((w for w, _ in values), bounds_mod.figure2_points(t, values))) if t >= 3 else {}
     header = ["w", "ma_exact", "ma_decimal", "lemma7_bound", "figure2_x", "figure2_y"]
     rows = []
@@ -205,13 +194,10 @@ def _t_range(spec: str) -> list[int]:
 
 def cmd_bounds(args, out) -> int:
     ts = _t_range(args.t_range) if args.t_range else [args.t]
-    exact = None
-    if args.float:
-        exact = False
     header = ["t", "lower", "upper", "analytic_upper"]
     rows = []
     for t in ts:
-        result = bounds_mod.rt_bounds(t, exact=exact)
+        result = bounds_mod.rt_bounds(t, exact=not args.float)
         rows.append(
             [
                 t,
@@ -274,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--w", type=int)
     group.add_argument("--sweep", action="store_true")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--float", action="store_true")
+    mode.add_argument("--exact", action="store_true", help="exact values (the default)")
+    mode.add_argument("--float", action="store_true", help="the certified values as floats")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_ma)
 
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=int)
     group.add_argument("--t-range", dest="t_range", help="A:B inclusive")
-    p.add_argument("--float", action="store_true")
+    p.add_argument("--float", action="store_true", help="bounds from the certified values as floats")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_bounds)
 

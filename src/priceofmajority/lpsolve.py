@@ -59,14 +59,14 @@ on the highly degenerate rows next to w = ceil((t+1)/2), where every row is
 tight; after a run of degenerate pivots it switches to Bland's anti-cycling
 rule, and the dual simplex uses Bland's rule throughout, so termination is
 guaranteed and results are deterministic. Values become Fractions only in
-the returned :class:`LpSolution`. A float variant on scipy's HiGHS backend
-is kept for comparison; a float row that breaks a proven property of
-ma_t(w) by more than 1e-9 is re-solved exactly.
+the returned :class:`LpSolution`. The float results (:func:`solve_ma_float`,
+``ma_table(t, exact=False)``) are these certified optima cast to float; there
+is no second solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -76,9 +76,7 @@ from .core import ParameterError, ResourceLimitError, TypeProfile
 _rational = Fraction  # number type of exact results, recorded by environment reports
 
 EXACT_T_CAP = 1000
-FLOAT_T_CAP = 1000
 _DEGENERATE_PIVOT_LIMIT = 30
-_FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,7 @@ class LpSolution:
     ma: Fraction | float
     active: tuple[int, ...]  # k values of tight inequality rows
     pivots: int
-    exact: bool = True
-    residual: float = 0.0  # max constraint violation (float mode only)
+    residual: float = 0.0  # max constraint violation; 0.0, as every optimum is certified
 
 
 def _check_w(t: int, w: int) -> None:
@@ -112,7 +109,7 @@ def _check_w(t: int, w: int) -> None:
 
 def _check_exact_t(t: int) -> None:
     if t > EXACT_T_CAP:
-        raise ResourceLimitError(f"exact mode is capped at t={EXACT_T_CAP}")
+        raise ResourceLimitError(f"ma_t(w) is solved up to t={EXACT_T_CAP}, got t={t}")
 
 
 def ma_closed_form_full(t: int) -> Fraction:
@@ -453,125 +450,34 @@ def solve_ma(t: int, w: int) -> LpSolution:
     )
 
 
-def _normalized_coefficients_float(t: int):
-    """s_kl / s_kt for all k >= ceil((t+1)/2) as a float matrix.
-
-    The normalized coefficient is the hypergeometric tail probability
-    P[X >= ceil((k + l - floor(t/2)) / 2)] for X ~ Hypergeom(t, l, k).
-    """
-    import numpy as np
-    from scipy.stats import hypergeom
-
-    w0 = min_k(t)
-    ks = np.arange(w0, t + 1)
-    ls = np.arange(0, t + 1)
-    K, L = np.meshgrid(ks, ls, indexing="ij")
-    lo = -((-(K + L - t // 2)) // 2)
-    return hypergeom.sf(lo - 1, t, L, K)
-
-
-def _exact_as_float(t: int, w: int) -> LpSolution:
-    """The exact optimum of ma_t(w), reported in the float path's types."""
+def solve_ma_float(t: int, w: int) -> LpSolution:
+    """The certified optimum of :func:`solve_ma` with float ``ma`` and profile."""
     solution = solve_ma(t, w)
-    return LpSolution(
-        t=t,
-        w=w,
+    return replace(
+        solution,
         profile=tuple(float(v) for v in solution.profile.fractions),
         ma=float(solution.ma),
-        active=solution.active,
-        pivots=solution.pivots,
-        exact=False,
     )
 
 
-def solve_ma_float(t: int, w: int, _coeffs=None) -> LpSolution:
-    """Double-precision solve for large t; results labeled approximate.
-
-    A result below :func:`ma_linear_lower`, or at w = t off
-    :func:`ma_closed_form_full`, by more than 1e-9 is replaced by the exact
-    optimum; results within 1e-9 are returned as HiGHS gives them.
-    """
-    import numpy as np
-    from scipy.optimize import linprog
-
-    if t > FLOAT_T_CAP:
-        raise ResourceLimitError(f"float mode is capped at t={FLOAT_T_CAP}")
-    _check_w(t, w)
-    S = _normalized_coefficients_float(t) if _coeffs is None else _coeffs
-    A = S[w - min_k(t) :, :]
-    b = np.full(A.shape[0], 0.5)
-    c = -np.arange(t + 1) / t
-    res = linprog(
-        c,
-        A_ub=A,
-        b_ub=b,
-        A_eq=[np.ones(t + 1)],
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise AssertionError(f"float LP failed at t={t}, w={w}: {res.message}")
-    ma = float(-res.fun)
-    if ma < ma_linear_lower(t, w) - _FLOAT_TOLERANCE or (
-        w == t and abs(ma - ma_closed_form_full(t)) > _FLOAT_TOLERANCE
-    ):
-        return _exact_as_float(t, w)
-    x = res.x
-    lhs = A @ x
-    residual = float(max(np.max(lhs - b, initial=0.0), abs(x.sum() - 1.0)))
-    active = tuple(
-        int(k) for k, v in zip(range(w, t + 1), lhs) if v >= 0.5 - 1e-9
-    )
-    return LpSolution(
-        t=t,
-        w=w,
-        profile=tuple(x),
-        ma=ma,
-        active=active,
-        pivots=0,
-        exact=False,
-        residual=residual,
-    )
-
-
-def ma_table(t: int, exact: bool | None = None) -> list[tuple[int, Fraction | float]]:
+def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:
     """(w, ma_t(w)) for every w in [ceil((t+1)/2), t].
 
-    ``exact=None`` picks exact mode up to the exact cap and the float path
-    beyond it. Exact mode builds the integer rows once and sweeps w from t
-    down, seeding each working set with the optimum of w + 1. In float mode
-    a row that breaks monotonicity in w by more than 1e-9 is re-solved
-    exactly, until no such pair is left.
+    Builds the integer rows once and sweeps w from t down, seeding each
+    working set with the optimum of w + 1. ``exact=False`` returns the same
+    certified values as floats.
     """
+    if not exact:
+        return [(w, float(ma)) for w, ma in ma_table(t)]
     if t < 1:
         raise ParameterError(f"ma_table requires t >= 1, got {t}")
-    if exact is None:
-        exact = t <= EXACT_T_CAP
+    _check_exact_t(t)
     w0 = min_k(t)
-    if exact:
-        _check_exact_t(t)
-        rows = _integer_rows(t, w0)
-        table = []
-        ks, ls = (), (t,)
-        for w in range(t, w0 - 1, -1):
-            x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], ks, ls)
-            ls = tuple(x)
-            table.append((w, value / t))
-        return table[::-1]
-    coeffs = _normalized_coefficients_float(t)
-    values = [solve_ma_float(t, w, _coeffs=coeffs).ma for w in range(w0, t + 1)]
-    resolved = set()
-    while True:
-        broken = {
-            j
-            for i in range(len(values) - 1)
-            if values[i] > values[i + 1] + _FLOAT_TOLERANCE
-            for j in (i, i + 1)
-        } - resolved
-        if not broken:
-            break
-        for i in broken:
-            values[i] = _exact_as_float(t, w0 + i).ma
-        resolved |= broken
-    return list(zip(range(w0, t + 1), values))
+    rows = _integer_rows(t, w0)
+    table = []
+    ks, ls = (), (t,)
+    for w in range(t, w0 - 1, -1):
+        x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], ks, ls)
+        ls = tuple(x)
+        table.append((w, value / t))
+    return table[::-1]

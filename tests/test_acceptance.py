@@ -3,9 +3,12 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 the captured output of a failing run). Tolerances: exact rational results are
 compared with ==, decimal renderings are compared as 4-significant-figure
-truncated strings, float-mode results carry an absolute tolerance of 1e-9.
+truncated strings. Float-mode ma_t(w) values are the exact ones cast to
+float, and bounds derived from them in float arithmetic are within one ulp of
+the exact bounds.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -62,14 +65,21 @@ def test_criterion_1_bound_table():
         999: expected_float[999],
     }
     ok = True
+    exact_rows = {}
     for t, (lo, hi) in expected_exact.items():
-        result = rt_bounds(t, exact=True)
+        result = exact_rows[t] = rt_bounds(t, exact=True)
         ok &= format_significant(result.lower) == lo
         ok &= format_significant(result.upper) == hi
     for t, (lo, hi) in expected_float.items():
         result = rt_bounds(t, exact=False)
         ok &= format_significant(result.lower) == lo
         ok &= format_significant(result.upper) == hi
+        # the float row is the exact row's ma_t(w) cast to float; its bounds are
+        # float arithmetic on those values, so they round the exact bounds
+        exact = exact_rows[t]
+        ok &= [d.ma for d in result.details] == [float(d.ma) for d in exact.details]
+        for got, want in ((result.lower, exact.lower), (result.upper, exact.upper)):
+            ok &= type(got) is float and abs(got - float(want)) <= math.ulp(float(want))
     _verdict("criterion 1 (bound table, 4 s.f.)", ok)
 
 

@@ -90,6 +90,19 @@ class TestNumericBounds:
         assert result.lower == min(d.lower_candidate for d in result.details)
         assert result.upper == min(d.upper_candidate for d in result.details)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_bounds_come_from_the_numeric_functions(self, exact):
+        for t in (9, 17, 199):
+            result = rt_bounds(t, exact=exact)
+            values = ma_table(t, exact=exact)
+            for got, want in (
+                (result.lower, rt_lower_numeric(t, values)),
+                (result.upper, rt_upper_numeric(t, values)),
+            ):
+                assert type(got) is type(want) is (Fraction if exact else float)
+                assert got == want, t
+            assert [(d.w, d.ma) for d in result.details] == values
+
 
 class TestFigure2:
     def test_last_point_is_one_one(self):

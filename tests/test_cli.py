@@ -199,6 +199,20 @@ class TestMa:
         assert rows[-1][1] == ""
         assert rows[-1][2] == "0.7222"
 
+    def test_float_row_at_the_floor(self):
+        code, text = run(["ma", "--t", "199", "--float"])
+        assert code == 0
+        row = next(r for r in csv.reader(io.StringIO(text)) if r[0] == "100")
+        assert row[1] == ""
+        assert row[2] == row[3] == "0.5000"
+        assert not row[5].startswith("-") and float(row[5]) >= 0
+
+    @pytest.mark.parametrize("extra", [["--float"], ["--float", "--w", "600"], ["--w", "600"]])
+    def test_above_cap_rejected_in_both_modes(self, extra):
+        code, text = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), *extra])
+        assert code == 3
+        assert text == ""
+
     def test_exact_above_cap_rejected(self):
         code, _ = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), "--exact"])
         assert code == 3

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -153,8 +152,9 @@ class TestIntegerSimplex:
 
     def test_exact_path_imports_no_scipy(self, child_env):
         code = (
-            "import sys; from priceofmajority import rt_bounds; "
-            "rt_bounds(9, exact=True); assert 'scipy' not in sys.modules"
+            "import sys; from priceofmajority import ma_table, rt_bounds, solve_ma_float; "
+            "rt_bounds(9, exact=True); rt_bounds(9, exact=False); ma_table(15, exact=False); "
+            "solve_ma_float(15, 8); assert 'scipy' not in sys.modules"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=120
@@ -226,45 +226,6 @@ class TestFloatGuard:
         assert solve_ma(499, 250).ma == Fraction(1, 2)
         assert solve_ma_float(499, 250).ma == 0.5
 
-    @staticmethod
-    def _raise_highs_ma(monkeypatch, shift):
-        import scipy.optimize
-
-        real = scipy.optimize.linprog
-
-        def shifted(*args, **kwargs):
-            result = real(*args, **kwargs)
-            result.fun -= shift
-            return result
-
-        monkeypatch.setattr(scipy.optimize, "linprog", shifted)
-
-    def test_closed_form_at_w_equals_t(self, monkeypatch):
-        self._raise_highs_ma(monkeypatch, 1e-6)  # above the floor, off the closed form
-        assert solve_ma_float(15, 15).ma == float(solve_ma(15, 15).ma)
-        assert solve_ma_float(15, 12).ma > float(solve_ma(15, 12).ma)
-
-    def test_rows_within_tolerance_are_kept(self, monkeypatch):
-        self._raise_highs_ma(monkeypatch, -1e-10)  # below the floor 1/2, within 1e-9
-        assert 0.5 - 1e-9 < solve_ma_float(15, 8).ma < 0.5
-
-    def test_monotonicity_in_the_table(self, monkeypatch):
-        real = lpsolve.solve_ma_float
-
-        def bumped(t, w, _coeffs=None):
-            solution = real(t, w, _coeffs=_coeffs)
-            if w == 12:
-                solution = dataclasses.replace(solution, ma=solution.ma + 0.1)
-            return solution
-
-        monkeypatch.setattr(lpsolve, "solve_ma_float", bumped)
-        table = ma_table(17, exact=False)
-        exact = dict(ma_table(17, exact=True))
-        assert dict(table)[12] == float(exact[12])
-        assert dict(table)[13] == float(exact[13])
-        values = [v for _, v in table]
-        assert values == sorted(values)
-
 
 class TestMaTable:
     def test_t9_sweep(self):
@@ -291,17 +252,20 @@ class TestMaTable:
 
 
 class TestFloatFallback:
+    """The float results are the certified exact ones, cast to float."""
+
     def test_agrees_with_exact(self):
-        for t, w in [(9, 7), (15, 10), (21, 14)]:
+        pairs = [(9, 7), (15, 8), (15, 10), (15, 12), (15, 15), (17, 12), (17, 13), (21, 14), (499, 250)]
+        for t, w in pairs:
             exact = solve_ma(t, w)
             approx = solve_ma_float(t, w)
-            assert not approx.exact
-            assert abs(float(exact.ma) - approx.ma) < 1e-9
-            assert approx.residual < 1e-9
+            assert approx.ma == float(exact.ma), (t, w)
+            assert approx.profile == tuple(float(v) for v in exact.profile.fractions), (t, w)
+            assert approx.active == exact.active and approx.pivots == exact.pivots
+            assert approx.residual == 0.0
 
     def test_table_mode_selection(self):
-        exact_values = ma_table(9, exact=True)
-        float_values = ma_table(9, exact=False)
-        for (w1, v1), (w2, v2) in zip(exact_values, float_values):
-            assert w1 == w2
-            assert abs(float(v1) - v2) < 1e-9
+        for t in (9, 17, 199, 499):
+            float_values = ma_table(t, exact=False)
+            assert float_values == [(w, float(v)) for w, v in ma_table(t, exact=True)], t
+            assert all(type(v) is float for _, v in float_values)
