@@ -46,7 +46,6 @@ from .core import (
 from .lpsolve import LpSolution, build_ma_lp, ma_table, solve_ma, solve_ma_float
 from .matrixio import MatrixFormatError, parse_matrix, write_matrix
 from .oracle import (
-    Metric,
     OracleResult,
     best_representation,
     half_proposal,

@@ -18,9 +18,6 @@ from .core import ParameterError
 # ma_closed_form_full and ma_linear_lower stay importable from here
 from .lpsolve import ma_closed_form_full, ma_linear_lower, ma_table
 
-MaValues = list  # list of (w, ma) pairs as returned by ma_table
-
-
 @dataclass(frozen=True)
 class BoundDetail:
     w: int

@@ -22,6 +22,7 @@ from .core import (
     ParameterError,
     Proposal,
     ResourceLimitError,
+    absolute_representativeness,
     canonicalize,
     column_tally,
     opinions_to_string,
@@ -96,9 +97,8 @@ def cmd_analyze(args, out) -> int:
         out.write(f"md: {md}\n")
     if args.metric in ("matches", "both"):
         result = oracle.best_representation(canonical, max_topics=args.max_t)
-        n_t = Fraction(canonical.n) * t
-        r_value = Fraction(result.value) / (n_t * tally.m_V)
-        big_r = Fraction(result.value) / n_t
+        big_r = absolute_representativeness(canonical, result.best_proposal)
+        r_value = big_r / tally.m_V
         out.write(f"best_matches: {result.value}\n")
         out.write(
             f"R_V: {_exact_column(big_r)} ({format_significant(big_r)})\n"
@@ -194,6 +194,9 @@ def _t_range(spec: str) -> list[int]:
 
 def cmd_bounds(args, out) -> int:
     ts = _t_range(args.t_range) if args.t_range else [args.t]
+    if not 1 <= ts[0] <= ts[-1] <= lpsolve.EXACT_T_CAP:  # checked before any row is solved
+        cap = lpsolve.EXACT_T_CAP
+        raise ParameterError(f"t must lie in [1, {cap}], got {args.t_range or args.t}")
     header = ["t", "lower", "upper", "analytic_upper"]
     rows = []
     for t in ts:
@@ -203,7 +206,7 @@ def cmd_bounds(args, out) -> int:
                 t,
                 format_significant(result.lower),
                 format_significant(result.upper),
-                format_significant(result.analytic_upper) if t >= 3 else "1.000",
+                format_significant(result.analytic_upper),
             ]
         )
     _write_csv(args.csv, header, rows, out)
@@ -212,7 +215,6 @@ def cmd_bounds(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     results = verify.run_suites([args.suite], seed=args.seed, samples=args.samples)
-    failed = False
     for result in results:
         status = "pass" if result.ok else "FAIL"
         out.write(
@@ -220,12 +222,10 @@ def cmd_verify(args, out) -> int:
             f"({result.checks - len(result.failures)}/{result.checks} checks)\n"
         )
         for description, matrix in result.failures[:1]:
-            failed = True
             out.write(f"  {description}\n")
             if matrix is not None:
                 out.write(matrixio.write_matrix(matrix, header="counterexample"))
-        failed = failed or not result.ok
-    return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
+    return EXIT_OK if all(result.ok for result in results) else EXIT_PROPERTY_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument(
-        "--suite",
-        choices=["skl", "identity", "mdtight", "r3", "rule34", "all"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=cmd_verify)

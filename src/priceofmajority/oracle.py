@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
@@ -49,17 +48,11 @@ HARD_TOPIC_CAP = 30
 _CHUNK = 1 << 20
 
 
-class Metric(Enum):
-    MAX_MAJORITY_DECISIONS = "md"
-    MAX_MATCHES = "matches"
-
-
 @dataclass(frozen=True)
 class OracleResult:
     best_proposal: Proposal
     value: object
     supporter_weight: object
-    metric: Metric
 
 
 def _check_cap(matrix: VoterMatrix, max_topics: int | None) -> None:
@@ -200,7 +193,6 @@ def best_representation(
         best_proposal=Proposal(mask, t),
         value=value * unit,
         supporter_weight=supp * unit,
-        metric=Metric.MAX_MATCHES,
     )
 
 

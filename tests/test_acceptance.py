@@ -5,37 +5,29 @@ the captured output of a failing run). Tolerances: exact rational results are
 compared with ==, decimal renderings are compared as 4-significant-figure
 truncated strings. Float-mode ma_t(w) values are the exact ones cast to
 float, and bounds derived from them in float arithmetic are within one ulp of
-the exact bounds.
+the exact bounds. Criteria 3-7 run the property suites of
+``priceofmajority.verify``, the ones ``priceofmajority verify`` runs, and pin
+how many checks each suite makes.
 """
 
 import math
-import random
 from fractions import Fraction
 
-import numpy as np
-
 from priceofmajority import (
-    absolute_representativeness,
-    half_proposal,
     has_majority_support,
-    lemma1_matrix,
     ma_table,
-    md_of,
     r_V,
     rt_analytic_upper,
     rt_bounds,
-    rule_of_three_fourths_check,
     solve_ma,
     theorem2_matrix,
     theorem3_matrix,
 )
 from priceofmajority.bounds import figure2_points
 from priceofmajority.cli import format_significant
-from priceofmajority.combinatorics import binomial, c_l, min_k, s_kl, s_kl_oracle
 from priceofmajority.constructions import theorem3_proof_parameters
 from priceofmajority.core import Proposal
-from priceofmajority.oracle import proposal_stats
-from priceofmajority.sampling import random_matrix
+from priceofmajority.verify import run_suites
 
 SEED = 2022
 
@@ -91,13 +83,18 @@ def test_criterion_2_full_agreement_lp():
     _verdict("criterion 2 (LP matches closed form, t in [3,60])", ok)
 
 
+def _suites(name: str, checks: dict[str, int], ok: bool = True) -> None:
+    """Run the named verify suites on SEED and 10,000 samples; pass when every
+    check holds and each suite ran exactly ``checks[suite]`` checks."""
+    results = run_suites(list(checks), seed=SEED, samples=10_000)
+    ok &= all(r.ok for r in results) and {r.name: r.checks for r in results} == checks
+    detail = ", ".join(f"{r.name} {r.checks - len(r.failures)}/{r.checks}" for r in results)
+    _verdict(name, ok, detail)
+
+
 def test_criterion_3_majority_decisions_floor():
-    ok = all(md_of(lemma1_matrix(t)) == (t + 2) // 2 for t in range(1, 13))
-    rng = random.Random(SEED)
-    for _ in range(10_000):
-        matrix = random_matrix(rng, max_t=10)
-        ok &= md_of(matrix) >= (matrix.t + 2) // 2
-    _verdict("criterion 3 (md floor tight and never violated, 10k samples)", ok)
+    # lemma-1 md is tight for t <= 12, the floor holds on 10k random matrices
+    _suites("criterion 3 (md floor tight and never violated, 10k samples)", {"mdtight": 10_012})
 
 
 def test_criterion_4_three_topic_floor():
@@ -105,51 +102,24 @@ def test_criterion_4_three_topic_floor():
         r_V(theorem2_matrix(l)) == Fraction(10 * l - 2, 12 * l - 3)
         for l in range(1, 51)
     )
-    rng = random.Random(SEED)
-    floor = Fraction(5, 6)
-    for _ in range(10_000):
-        ok &= r_V(random_matrix(rng, t=3)) >= floor
-    _verdict("criterion 4 (3-topic worst case exact, floor holds on 10k samples)", ok)
+    _suites(
+        "criterion 4 (3-topic worst case exact, floor holds on 10k samples)", {"r3": 10_000}, ok
+    )
 
 
 def test_criterion_5_support_sum_identity():
-    ok = all(
-        c_l(t, l) == l * binomial(t - 1, t // 2)
-        for t in range(1, 31, 2)
-        for l in range(t + 1)
-    )
-    _verdict("criterion 5 (support sum identity, odd t <= 30)", ok)
+    _suites("criterion 5 (support sum identity, odd t <= 30)", {"identity": 240})
 
 
 def test_criterion_6_skl_formula_vs_oracle():
-    ok = all(
-        s_kl(t, k, l) == s_kl_oracle(t, k, l)
-        for t in range(1, 13)
-        for k in range(min_k(t), t + 1)
-        for l in range(t + 1)
-    )
-    _verdict("criterion 6 (s_kl formula vs enumeration, t <= 12)", ok)
+    _suites("criterion 6 (s_kl formula vs enumeration, t <= 12)", {"skl": 385})
 
 
 def test_criterion_7_property_suites():
-    rng = random.Random(SEED)
-    pair_ok = floor_ok = half_ok = rule_ok = True
-    for _ in range(10_000):
-        matrix = random_matrix(rng)
-        t = matrix.t
-        supp, _ = proposal_stats(matrix)
-        supp = np.array(supp)
-        pair_ok &= bool(np.all(supp + supp[::-1] >= matrix.n))
-        floor_ok &= r_V(matrix) >= Fraction(1, 3)
-        p = half_proposal(matrix)
-        half_ok &= has_majority_support(matrix, p)
-        half_ok &= absolute_representativeness(matrix, p) >= Fraction(1, 2) - Fraction(1, t)
-        rule_ok &= rule_of_three_fourths_check(matrix)
-    ok = pair_ok and floor_ok and half_ok and rule_ok
-    _verdict(
+    # invariants: pair support, the 1/3 floor and the half proposal, one check each
+    _suites(
         "criterion 7 (pair support, 1/3 floor, half proposal, 3/4 rule; 10k samples)",
-        ok,
-        f"pair={pair_ok} floor={floor_ok} half={half_ok} rule={rule_ok}",
+        {"rule34": 10_000, "invariants": 30_000},
     )
 
 

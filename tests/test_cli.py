@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from priceofmajority import Proposal, cli, lemma1_matrix, lpsolve, matrixio
+from priceofmajority import Proposal, bounds, cli, lemma1_matrix, lpsolve, matrixio, verify
 from priceofmajority.cli import format_significant, main
 from priceofmajority.core import has_majority_support, matches
 
@@ -262,6 +262,24 @@ class TestBounds:
         assert code == 3
         assert text == ""
 
+    def test_one_and_two_topics(self):
+        code, text = run(["bounds", "--t-range", "1:3"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1:3] == [["1", "1.000", "1.000", "1.000"], ["2", "1.000", "1.000", "1.000"]]
+
+    @pytest.mark.parametrize(
+        "argv", [["--t-range", "3:1001"], ["--t-range", "0:5"], ["--t", "1001", "--float"]]
+    )
+    def test_range_checked_before_solving(self, monkeypatch, argv):
+        def no_solve(t, exact=True):
+            raise AssertionError("rt_bounds called before the range was checked")
+
+        monkeypatch.setattr(bounds, "rt_bounds", no_solve)
+        code, text = run(["bounds", *argv])
+        assert code == 3
+        assert text == ""
+
 
 class TestVerify:
     def test_small_suite_passes(self):
@@ -273,6 +291,18 @@ class TestVerify:
         code, text = run(["verify", "--suite", "r3", "--samples", "50"])
         assert code == 0
         assert "(50/50 checks)" in text
+
+    def test_all_suites(self):
+        code, text = run(["verify", "--suite", "all", "--samples", "20"])
+        assert code == 0
+        assert [line.split(":")[0] for line in text.splitlines()] == list(verify.SUITES)
+        assert all(": pass (" in line for line in text.splitlines())
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, samples):
+        code, text = run(["verify", "--suite", "r3", "--samples", samples])
+        assert code == 3
+        assert text == ""
 
 
 def test_module_entry_point(child_env):
