@@ -38,16 +38,25 @@ and columns on demand is the row and column generation of Dantzig and Wolfe
 nothing is dropped within a solve, so the loop ends. A round does not start
 the simplex again: a new row is brought in by the dual simplex and a new
 column by the primal simplex, from the basis of the round before.
-:func:`ma_table` sweeps w from t down and seeds each w with the support and
-the positive-dual rows of w + 1.
+:func:`ma_table` sweeps w from t down and seeds each w from the optimum of
+w + 1. Its rows are the positive-dual rows of w + 1 and row w itself: x(w + 1)
+is certified on rows w + 1..t, so row w is the only one it can violate. Its
+columns are the support of w + 1 and each support point's neighbours l - 1
+and l + 1 in 1..t. With these seeds most w take one simplex run and one
+certifying round.
 
-The degenerate row. For odd t and w = ceil((t+1)/2) every row is tight at
-the optimum, and simplex pivots through all of them. The paper's support-sum
-identity c_l = sum_k (2k - t) s_kl = l C(t-1, floor(t/2)) solves it directly:
-x_0 = x_t = 1/2 and the duals y_k = (2k - t) C(t, k) / (t C(t-1, floor(t/2)))
-make every dual constraint an equality, so ma = 1/2. Both are checked exactly
-against every row and column; a failed check raises, since the identity is a
-theorem.
+The degenerate rows. For odd t and w = ceil((t+1)/2) + a with a = 0 or 1,
+the optimum is the paper's lemma-7 profile x_a = x_t = 1/2 with every row
+tight, and simplex pivots through all of them. A shifted form of the paper's
+support-sum identity solves both directly. With f_l = sum_k (2k - t) s_kl
+over the rows k >= w, the duals y_k proportional to 2k - t, plus a on the
+mass row, price every column out when (t - a) f_l >= (l - a) f_t for every
+l; then ma = (a + t)/(2t). At a = 0 the identity f_l = l C(t-1, floor(t/2))
+makes every dual constraint an equality; the check is exact, and a failure
+raises, since the identity is a theorem. At a = 1 the inequality is an
+exact check of an observation (it holds for every odd t in 5..401 and at
+t = 499, 601, 701, 799, 901 and 999), and a failed check sends the row to the
+working set.
 
 The integer simplex is a dense tableau on integers: each tableau row is an
 integer vector over one positive integer denominator, divided by its gcd
@@ -107,7 +116,9 @@ def _check_w(t: int, w: int) -> None:
         raise ParameterError(f"w must lie in [{min_k(t)}, {t}], got {w}")
 
 
-def _check_exact_t(t: int) -> None:
+def _check_t(t: int, caller: str) -> None:
+    if t < 1:
+        raise ParameterError(f"{caller} requires t >= 1, got {t}")
     if t > EXACT_T_CAP:
         raise ResourceLimitError(f"ma_t(w) is solved up to t={EXACT_T_CAP}, got t={t}")
 
@@ -352,8 +363,10 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     the support to v'_l (v'_0 takes the rest of the mass), value is
     sum_l l v'_l = t ma_t(w), and dual_ks are the rows with positive duals.
     """
-    if t % 2 and w == min_k(t):
-        return _half_certificate(t, w, rows)
+    if t % 2 and w - min_k(t) in (0, 1):
+        certified = _lemma7_certificate(t, w, rows)
+        if certified is not None:
+            return certified
     row_ks = sorted({k for k in ks if w <= k <= t})
     col_ls = sorted({l for l in ls if 0 <= l <= t})
     seed_rows = [
@@ -410,30 +423,48 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     return dict(x), tableau.value(), tuple(active), tableau.pivots, dual_ks
 
 
-def _half_certificate(t: int, w: int, rows):
-    """ma_t(w) = 1/2 at odd t and w = ceil((t+1)/2), from the support-sum identity.
-
-    x_0 = x_t = 1/2 is feasible with every row tight when s_k0 = 0 and
-    s_kt = C(t, k); the duals y_k = (2k - t) C(t, k) / (t C(t-1, floor(t/2)))
-    meet column l with equality when sum_k (2k - t) s_kl = l C(t-1, floor(t/2)),
-    and then both objectives are 1/2.
-    """
-    unit = binomial(t - 1, t // 2)
-    sums = [0] * (t + 1)
-    for k, (c, row) in zip(range(w, t + 1), rows):
-        if row[0] != 0 or row[t] != c:
-            raise AssertionError(f"x_0 = x_t = 1/2 is not tight on row k={k} at t={t}")
+def _support_sums(t: int, w: int, rows) -> list[int]:
+    """f_l = sum_k (2k - t) s_kl over the rows k = w..t, for l = 0..t."""
+    f = [0] * (t + 1)
+    for k, (_, row) in zip(range(w, t + 1), rows):
         scale = 2 * k - t
-        sums = [a + scale * s for a, s in zip(sums, row)]
-    if sums != [l * unit for l in range(t + 1)]:
-        raise AssertionError(f"support-sum identity fails at t={t}")
+        f = [u + scale * s for u, s in zip(f, row)]
+    return f
+
+
+def _lemma7_certificate(t: int, w: int, rows):
+    """ma_t(w) = (a + t)/(2t) at odd t and w = ceil((t+1)/2) + a for a = 0, 1.
+
+    The primal is the lemma-7 profile x_a = x_t = 1/2, feasible with every
+    row tight when s_ka = 0 and s_kt = C(t, k). With f_l = sum_k (2k - t) s_kl
+    over k >= w, the duals y_k = (t - a)(2k - t) / (2 f_t) on the rows
+    2 s_k.v' <= C(t, k) and a on the mass row price column l out when
+    (t - a) f_l >= (l - a) f_t, with equality at l = a and l = t; both
+    objectives are then (a + t)/2.
+
+    At a = 0 this is the paper's support-sum identity f_l = l C(t-1, floor(t/2)),
+    and the duals are (2k - t) C(t, k) / (t C(t-1, floor(t/2))) on the
+    normalized rows; a failed check raises, since the identity is a theorem.
+    At a = 1 the dual inequality is checked, not proved: a failed check
+    returns None and the row goes to the working set.
+    """
+    a = w - min_k(t)
+    tight = all(row[a] == 0 and row[t] == c for c, row in rows)
+    f = _support_sums(t, w, rows)
+    if a == 0:
+        unit = binomial(t - 1, t // 2)
+        if not (tight and f == [l * unit for l in range(t + 1)]):
+            raise AssertionError(f"support-sum identity fails at t={t}")
+    if not tight or any((t - a) * u < (l - a) * f[t] for l, u in enumerate(f)):
+        return None
     every_row = tuple(range(w, t + 1))
-    return {t: Fraction(1, 2)}, Fraction(t, 2), every_row, 0, every_row
+    x = {l: Fraction(1, 2) for l in (a, t) if l}  # v'_0 takes the rest of the mass
+    return x, Fraction(a + t, 2), every_row, 0, every_row
 
 
 def solve_ma(t: int, w: int) -> LpSolution:
     """Exact optimum of the ma_t(w) LP."""
-    _check_exact_t(t)
+    _check_t(t, "solve_ma")
     _check_w(t, w)
     x, value, active, pivots, _ = _working_set_solve(t, w, _integer_rows(t, w), (w,), (t,))
     fractions = [Fraction(0)] * (t + 1)
@@ -463,21 +494,20 @@ def solve_ma_float(t: int, w: int) -> LpSolution:
 def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:
     """(w, ma_t(w)) for every w in [ceil((t+1)/2), t].
 
-    Builds the integer rows once and sweeps w from t down, seeding each
-    working set with the optimum of w + 1. ``exact=False`` returns the same
-    certified values as floats.
+    Builds the integer rows once and sweeps w from t down. Each w starts
+    from the positive-dual rows of w + 1 and row w, the one row x(w + 1) can
+    violate, and from the support of w + 1 and its neighbours l - 1 and
+    l + 1. ``exact=False`` returns the same certified values as floats.
     """
     if not exact:
         return [(w, float(ma)) for w, ma in ma_table(t)]
-    if t < 1:
-        raise ParameterError(f"ma_table requires t >= 1, got {t}")
-    _check_exact_t(t)
+    _check_t(t, "ma_table")
     w0 = min_k(t)
     rows = _integer_rows(t, w0)
     table = []
     ks, ls = (), (t,)
     for w in range(t, w0 - 1, -1):
-        x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], ks, ls)
-        ls = tuple(x)
+        x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], (*ks, w), ls)
+        ls = {m for l in x for m in (l - 1, l, l + 1) if 1 <= m <= t}
         table.append((w, value / t))
     return table[::-1]

@@ -237,6 +237,12 @@ class TestMa:
         assert code == 3
         assert text == ""
 
+    def test_single_w_names_nonpositive_t(self, capsys):
+        code, text = run(["ma", "--t", "0", "--w", "1"])
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == "error: solve_ma requires t >= 1, got 0\n"
+
 
 class TestBounds:
     def test_single_t(self):

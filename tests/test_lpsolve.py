@@ -147,6 +147,11 @@ class TestIntegerSimplex:
                 (w, solve_ma(t, w).ma) for w in range(min_k(t), t + 1)
             ]
 
+    def test_seeded_table_equals_cold_solves(self):
+        # t=41 reaches the a = 1 certificate; both reach rows seeded from w + 1
+        for t in (40, 41):
+            assert ma_table(t) == [(w, solve_ma(t, w).ma) for w in range(min_k(t), t + 1)], t
+
     def test_exact_results_are_fractions(self):
         assert lpsolve._rational is Fraction
 
@@ -212,6 +217,31 @@ class TestWorkingSet:
             assert solution.ma == Fraction(1, 2), t
             assert solution.pivots == 0
             assert solution.active == tuple(range(w, t + 1))
+
+    def test_lemma7_certificate_next_to_min_k(self):
+        for t in range(5, 302, 2):
+            w = min_k(t) + 1
+            solution = solve_ma(t, w)
+            assert solution.ma == Fraction(t + 1, 2 * t), t
+            assert solution.pivots == 0, t
+            profile = [Fraction(0)] * (t + 1)
+            profile[1] = profile[t] = Fraction(1, 2)
+            assert solution.profile.fractions == tuple(profile), t
+            assert solution.active == tuple(range(w, t + 1)), t
+
+    def test_failed_lemma7_dual_check_falls_back(self, monkeypatch):
+        sums = lpsolve._support_sums
+
+        def doubled_f_t(t, w, rows):
+            f = sums(t, w, rows)
+            f[t] *= 2  # (t - 1) f_t >= (t - 1) 2 f_t fails
+            return f
+
+        monkeypatch.setattr(lpsolve, "_support_sums", doubled_f_t)
+        for t in (5, 9, 15, 21):
+            solution = solve_ma(t, min_k(t) + 1)
+            assert solution.pivots > 0, t
+            assert solution.ma == _full_simplex_ma(t, min_k(t) + 1) == Fraction(t + 1, 2 * t), t
 
     def test_half_certificate_checks_the_identity(self):
         t = 9
