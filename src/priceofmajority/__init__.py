@@ -43,7 +43,7 @@ from .core import (
     supports,
     type_profile,
 )
-from .lpsolve import LpSolution, build_ma_lp, ma_table, solve_ma, solve_ma_float
+from .lpsolve import LpSolution, ma_table, solve_ma, solve_ma_float
 from .matrixio import MatrixFormatError, parse_matrix, write_matrix
 from .oracle import (
     OracleResult,

@@ -108,13 +108,10 @@ def rt_bounds(t: int, exact: bool = True) -> RtBounds:
     """Lower/upper bounds on r_t from a full ma_t(w) sweep.
 
     ``exact=False`` derives them from the float values of the same certified
-    sweep. For t = 1 and t = 2 the topic-wise majority always has majority
-    support, so both bounds are exactly 1 and no LP is solved.
+    sweep. Each bound is the minimum of its candidates in ``details``. For
+    t = 1 and t = 2 the topic-wise majority always has majority support: the
+    sweep's one row w = t gives both bounds as exactly 1.
     """
-    if t < 1:
-        raise ParameterError("requires t >= 1")
-    if t <= 2:
-        return RtBounds(t=t, lower=Fraction(1), upper=Fraction(1), analytic_upper=1.0, details=())
     values = ma_table(t, exact=exact)
     details = tuple(
         BoundDetail(w=w, ma=ma, lower_candidate=lower, upper_candidate=_upper_candidate(t, w, ma))
@@ -122,8 +119,8 @@ def rt_bounds(t: int, exact: bool = True) -> RtBounds:
     )
     return RtBounds(
         t=t,
-        lower=rt_lower_numeric(t, values),
-        upper=rt_upper_numeric(t, values),
-        analytic_upper=rt_analytic_upper(t),
+        lower=min(d.lower_candidate for d in details),
+        upper=min(d.upper_candidate for d in details),
+        analytic_upper=rt_analytic_upper(t) if t >= 3 else 1.0,
         details=details,
     )

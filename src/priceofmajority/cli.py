@@ -10,8 +10,8 @@ rendered at 4 significant figures (truncated) next to an exact num/den column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import sys
 from fractions import Fraction
 
@@ -34,9 +34,12 @@ EXIT_PARSE_ERROR = 2
 EXIT_PARAMETER_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
+SIGNIFICANT_DIGITS = 4
 
-def format_significant(value, digits: int = 4) -> str:
-    """Render truncated to ``digits`` significant figures (dot separator)."""
+
+def format_significant(value) -> str:
+    """Render truncated to SIGNIFICANT_DIGITS significant figures (dot separator)."""
+    digits = SIGNIFICANT_DIGITS
     f = Fraction(value)
     if f == 0:
         return "0." + "0" * (digits - 1)
@@ -66,17 +69,8 @@ def _exact_column(value) -> str:
 
 
 def _write_csv(path, header, rows, out):
-    if path:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        writer.writerows(rows)
-        out.write(buffer.getvalue())
+    with open(path, "w", newline="") if path else contextlib.nullcontext(out) as handle:
+        csv.writer(handle).writerows([header, *rows])
 
 
 def cmd_analyze(args, out) -> int:
@@ -256,12 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ma", help="solve the maximum-average-majority LP")
     p.add_argument("--t", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--w", type=int)
-    group.add_argument("--sweep", action="store_true")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact values (the default)")
-    mode.add_argument("--float", action="store_true", help="the certified values as floats")
+    p.add_argument("--w", type=int, help="one w; every w when left out")
+    p.add_argument("--float", action="store_true", help="the certified values as floats")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_ma)
 

@@ -7,10 +7,9 @@ on them are therefore independent of the (often huge) nominal voter count.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
-from .combinatorics import binomial, min_k, s_kl
+from .combinatorics import binomial, min_k, s_kl_row
 from .core import (
     ParameterError,
     ResourceLimitError,
@@ -21,6 +20,7 @@ from .core import (
 )
 
 VLP_TOPIC_CAP = 20
+THEOREM3_K_LIMIT = 200  # largest k theorem3_proof_parameters scans
 
 
 def lemma1_matrix(t: int) -> VoterMatrix:
@@ -100,7 +100,7 @@ def theorem3_rv_bound(t: int, k: int, M: int) -> float:
     return 1 - ((t + 1) // 2 - x) * (2 * M - n) / (t * M)
 
 
-def theorem3_proof_parameters(t: int, k_limit: int = 200) -> tuple[int, int]:
+def theorem3_proof_parameters(t: int) -> tuple[int, int]:
     """Smallest (k, M) whose provable r_V bound undercuts the analytic limit.
 
     Scans k upward (M over its full range per k), mirroring the proof's
@@ -110,7 +110,7 @@ def theorem3_proof_parameters(t: int, k_limit: int = 200) -> tuple[int, int]:
     from .bounds import rt_analytic_upper
 
     target = rt_analytic_upper(t)
-    for k in range(2, k_limit + 1):
+    for k in range(2, THEOREM3_K_LIMIT + 1):
         for M in range(k + 1, 2 * k + 2):
             if theorem3_rv_bound(t, k, M) <= target:
                 return k, M
@@ -144,9 +144,9 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     equal rational weight, so permuting topics maps the row multiset onto
     itself; the total weight is 1 and the average majority equals the
     profile's objective value sum(l * v_l) / t. Feasibility (every k-proposal
-    with k >= w supported by at most half the weight) is validated with the
-    closed constraint set, so a boundary profile is accepted with supporter
-    weight exactly 1/2.
+    with k >= w supported by at most half the weight) is validated on the
+    rows the LP solver uses, 2 sum_l s_kl v_l <= C(t, k), so a boundary
+    profile is accepted with supporter weight exactly 1/2.
     """
     if t > VLP_TOPIC_CAP:
         raise ResourceLimitError(f"vlp_matrix materializes up to 2^t rows; t > {VLP_TOPIC_CAP}")
@@ -155,8 +155,8 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     if not min_k(t) <= w <= t:
         raise ParameterError(f"vlp_matrix requires {min_k(t)} <= w <= {t}")
     for k in range(w, t + 1):
-        lhs = sum(s_kl(t, k, l) * profile.fractions[l] for l in range(t + 1))
-        if lhs > Fraction(binomial(t, k), 2):
+        row = s_kl_row(t, k)
+        if 2 * sum(row[l] * v for l, v in enumerate(profile.fractions) if v) > binomial(t, k):
             raise ParameterError(
                 f"profile infeasible: k-proposal support exceeds half at k={k}"
             )

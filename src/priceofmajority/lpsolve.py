@@ -10,8 +10,7 @@ optimum of an LP over the l-voter type fractions v'_0..v'_t:
 
 The strict "<" of the underlying feasibility condition is relaxed to "<=":
 the closed optimum equals the supremum of the open region, and matrices
-arbitrarily close to it exist (supremum semantics). Constraint rows are
-normalized by s_kl(t, k, t) so every coefficient is a rational in [0, 1].
+arbitrarily close to it exist (supremum semantics).
 
 The constraint data of every w is a suffix of one integer table per t, the
 rows (s_kl(t, k, l))_l over C(t, k) = s_kl(t, k, t) for k = ceil((t+1)/2)..t.
@@ -89,22 +88,10 @@ _DEGENERATE_PIVOT_LIMIT = 30
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """Normalized LP for ma_t(w): rows k = w..t, variables v'_0..v'_t."""
-
-    t: int
-    w: int
-    objective: tuple[Fraction, ...]  # l/t for l = 0..t
-    ks: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]  # s_kl / s_kt, in [0, 1]
-    rhs: tuple[Fraction, ...]  # 1/2 per row
-
-
-@dataclass(frozen=True)
 class LpSolution:
     t: int
     w: int
-    profile: TypeProfile | tuple
+    profile: TypeProfile
     ma: Fraction | float
     active: tuple[int, ...]  # k values of tight inequality rows
     pivots: int
@@ -130,7 +117,7 @@ def ma_closed_form_full(t: int) -> Fraction:
     proposal, which is the Rule of Three-Fourths in sharpened form.
     """
     if t < 1:
-        raise ParameterError("requires t >= 1")
+        raise ParameterError(f"ma_closed_form_full requires t >= 1, got {t}")
     return Fraction(1, 2) + Fraction((t - 1) // 2, 2 * t)
 
 
@@ -143,19 +130,6 @@ def ma_linear_lower(t: int, w: int) -> Fraction:
 def _integer_rows(t: int, w: int) -> list[tuple[int, list[int]]]:
     """(C(t, k), [s_kl(t, k, l) for l = 0..t]) for k = w..t."""
     return [(binomial(t, k), s_kl_row(t, k)) for k in range(w, t + 1)]
-
-
-def build_ma_lp(t: int, w: int) -> LinearProgram:
-    _check_w(t, w)
-    rows = _integer_rows(t, w)
-    return LinearProgram(
-        t=t,
-        w=w,
-        objective=tuple(Fraction(l, t) for l in range(t + 1)),
-        ks=tuple(range(w, t + 1)),
-        rows=tuple(tuple(Fraction(s, c) for s in row) for c, row in rows),
-        rhs=tuple(Fraction(1, 2) for _ in rows),
-    )
 
 
 class _Tableau:
@@ -482,13 +456,9 @@ def solve_ma(t: int, w: int) -> LpSolution:
 
 
 def solve_ma_float(t: int, w: int) -> LpSolution:
-    """The certified optimum of :func:`solve_ma` with float ``ma`` and profile."""
+    """The certified optimum of :func:`solve_ma` with ``ma`` cast to float."""
     solution = solve_ma(t, w)
-    return replace(
-        solution,
-        profile=tuple(float(v) for v in solution.profile.fractions),
-        ma=float(solution.ma),
-    )
+    return replace(solution, ma=float(solution.ma))
 
 
 def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:

@@ -26,6 +26,10 @@ class TestClosedForms:
     def test_full_agreement_value(self, t, expected):
         assert ma_closed_form_full(t) == expected
 
+    def test_nonpositive_t_named(self):
+        with pytest.raises(ParameterError, match=r"^ma_closed_form_full requires t >= 1, got 0$"):
+            ma_closed_form_full(0)
+
     def test_always_below_three_fourths(self):
         for t in range(1, 200):
             assert ma_closed_form_full(t) < Fraction(3, 4)
@@ -81,8 +85,11 @@ class TestNumericBounds:
             assert analytic_floor() <= result.lower <= result.upper <= 1
 
     def test_trivial_topic_counts(self):
-        assert rt_bounds(1).lower == rt_bounds(1).upper == 1
-        assert rt_bounds(2).lower == rt_bounds(2).upper == 1
+        for exact in (True, False):
+            for t in (1, 2):
+                result = rt_bounds(t, exact=exact)
+                assert result.lower == result.upper == 1, (t, exact)
+                assert type(result.lower) is type(result.upper) is (Fraction if exact else float)
 
     def test_details_cover_all_w(self):
         result = rt_bounds(9)

@@ -169,7 +169,7 @@ class TestConstruct:
 
 class TestMa:
     def test_sweep_csv(self):
-        code, text = run(["ma", "--t", "9", "--sweep"])
+        code, text = run(["ma", "--t", "9"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == [
@@ -207,15 +207,13 @@ class TestMa:
         assert row[2] == row[3] == "0.5000"
         assert not row[5].startswith("-") and float(row[5]) >= 0
 
-    @pytest.mark.parametrize("extra", [["--float"], ["--float", "--w", "600"], ["--w", "600"]])
+    @pytest.mark.parametrize(
+        "extra", [["--float"], ["--float", "--w", "600"], ["--w", "600"], []]
+    )
     def test_above_cap_rejected_in_both_modes(self, extra):
         code, text = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), *extra])
         assert code == 3
         assert text == ""
-
-    def test_exact_above_cap_rejected(self):
-        code, _ = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), "--exact"])
-        assert code == 3
 
     def test_csv_file_output(self, tmp_path):
         path = tmp_path / "ma.csv"

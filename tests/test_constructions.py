@@ -202,6 +202,14 @@ class TestVlpMatrix:
             )
             assert permuted == multiset
 
+    def test_just_past_the_boundary_rejected(self):
+        eps = Fraction(1, 10**9)
+        fractions = [Fraction(0)] * 4
+        fractions[1] = Fraction(1, 2) - eps
+        fractions[3] = Fraction(1, 2) + eps
+        with pytest.raises(ParameterError):
+            vlp_matrix(3, 3, TypeProfile(tuple(fractions)))
+
     def test_infeasible_profile_rejected(self):
         fractions = [Fraction(0)] * 4
         fractions[3] = Fraction(1)

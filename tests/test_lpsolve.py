@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from priceofmajority import (
     ParameterError,
     ResourceLimitError,
-    build_ma_lp,
     lpsolve,
     ma_table,
     solve_ma,
@@ -18,32 +17,6 @@ from priceofmajority import (
 )
 from priceofmajority.combinatorics import min_k
 from priceofmajority.lpsolve import EXACT_T_CAP
-
-
-class TestBuildLp:
-    def test_three_topics_full_agreement(self):
-        lp = build_ma_lp(3, 3)
-        assert lp.ks == (3,)
-        assert lp.rows == ((0, 0, 1, 1),)
-        assert lp.rhs == (Fraction(1, 2),)
-
-    def test_three_topics_two_constraints(self):
-        lp = build_ma_lp(3, 2)
-        assert lp.ks == (2, 3)
-        # s_2l = (0, 2, 1, 3) normalized by C(3,2) = 3
-        assert lp.rows[0] == (0, Fraction(2, 3), Fraction(1, 3), 1)
-        assert lp.rows[1] == (0, 0, 1, 1)
-
-    def test_constraint_count(self):
-        for t in range(3, 12):
-            for w in range(min_k(t), t + 1):
-                assert len(build_ma_lp(t, w).rows) == t - w + 1
-
-    def test_w_out_of_range(self):
-        with pytest.raises(ParameterError):
-            build_ma_lp(5, 2)
-        with pytest.raises(ParameterError):
-            build_ma_lp(5, 6)
 
 
 class TestSolveMa:
@@ -65,11 +38,8 @@ class TestSolveMa:
 
     def test_solution_is_feasible(self):
         for t, w in [(5, 4), (9, 6), (11, 8)]:
-            lp = build_ma_lp(t, w)
             solution = solve_ma(t, w)
-            for row, rhs in zip(lp.rows, lp.rhs):
-                lhs = sum(c * v for c, v in zip(row, solution.profile.fractions))
-                assert lhs <= rhs
+            assert _feasible(t, w, solution.profile.fractions)
             assert solution.ma == sum(
                 Fraction(l, t) * v for l, v in enumerate(solution.profile.fractions)
             )
@@ -82,7 +52,6 @@ class TestSolveMa:
         # moving mass from any variable to a higher-objective one breaks
         # feasibility or the optimum was not optimal
         t, w = 7, 5
-        lp = build_ma_lp(t, w)
         solution = solve_ma(t, w)
         eps = Fraction(1, 10**6)
         x = list(solution.profile.fractions)
@@ -93,11 +62,7 @@ class TestSolveMa:
                 shifted = list(x)
                 shifted[src] -= eps
                 shifted[dst] += eps
-                feasible = all(
-                    sum(c * v for c, v in zip(row, shifted)) <= rhs
-                    for row, rhs in zip(lp.rows, lp.rhs)
-                )
-                assert not feasible  # dst > src would raise the objective
+                assert not _feasible(t, w, shifted)  # dst > src would raise the objective
 
     def test_exact_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -110,6 +75,14 @@ def _supported(t, k, l):
         math.comb(l, x) * math.comb(t - l, k - x)
         for x in range(k + 1)
         if 2 * (x + (t - l) - (k - x)) >= t
+    )
+
+
+def _feasible(t, w, v):
+    """Whether profile v keeps every k-proposal, k >= w, at no more than half support."""
+    return all(
+        2 * sum(_supported(t, k, l) * x for l, x in enumerate(v)) <= math.comb(t, k)
+        for k in range(w, t + 1)
     )
 
 
@@ -168,12 +141,8 @@ class TestIntegerSimplex:
 
 
 def _full_simplex_ma(t, w):
-    """ma_t(w) from the full-tableau simplex on every row of build_ma_lp."""
-    lp = build_ma_lp(t, w)
-    rows = []
-    for row, rhs in zip(lp.rows, lp.rhs):
-        scale = math.lcm(rhs.denominator, *(v.denominator for v in row))
-        rows.append(([int(v * scale) for v in row], int(rhs * scale), scale))
+    """ma_t(w) from the full-tableau simplex on every row of lpsolve._integer_rows."""
+    rows = [([2 * s for s in row], c, 2 * c) for c, row in lpsolve._integer_rows(t, w)]
     rows.append(([1] * (t + 1), 1, 1))
     _, value, _ = lpsolve._simplex(list(range(t + 1)), rows)
     return value / t
@@ -290,7 +259,7 @@ class TestFloatFallback:
             exact = solve_ma(t, w)
             approx = solve_ma_float(t, w)
             assert approx.ma == float(exact.ma), (t, w)
-            assert approx.profile == tuple(float(v) for v in exact.profile.fractions), (t, w)
+            assert approx.profile == exact.profile, (t, w)
             assert approx.active == exact.active and approx.pivots == exact.pivots
             assert approx.residual == 0.0
 
