@@ -62,10 +62,8 @@ def format_significant(value) -> str:
     return sign + "0." + "0" * (-exponent - 1) + text
 
 
-def _exact_column(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return ""
+def _exact_column(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _write_csv(path, header, rows, out):
@@ -79,32 +77,31 @@ def cmd_analyze(args, out) -> int:
     canonical, flip_mask = canonicalize(matrix)
     tally = column_tally(canonical)
     t = canonical.t
-    out.write(f"n: {canonical.n}\n")
-    out.write(f"t: {t}\n")
-    out.write(f"column_y_weights: {' '.join(str(y) for y in tally.y_weights)}\n")
-    out.write(
-        f"m_V: {_exact_column(tally.m_V)} ({format_significant(tally.m_V)})\n"
-    )
-    out.write(f"flip_mask: {opinions_to_string(flip_mask, t)}\n")
+    report = [
+        f"n: {canonical.n}",
+        f"t: {t}",
+        f"column_y_weights: {' '.join(str(y) for y in tally.y_weights)}",
+        f"m_V: {_exact_column(tally.m_V)} ({format_significant(tally.m_V)})",
+        f"flip_mask: {opinions_to_string(flip_mask, t)}",
+    ]
     if args.metric in ("md", "both"):
-        md = oracle.md_of(canonical, max_topics=args.max_t)
-        out.write(f"md: {md}\n")
+        report.append(f"md: {oracle.md_of(canonical, max_topics=args.max_t)}")
     if args.metric in ("matches", "both"):
         result = oracle.best_representation(canonical, max_topics=args.max_t)
         big_r = absolute_representativeness(canonical, result.best_proposal)
         r_value = big_r / tally.m_V
-        out.write(f"best_matches: {result.value}\n")
-        out.write(
-            f"R_V: {_exact_column(big_r)} ({format_significant(big_r)})\n"
-        )
-        out.write(
-            f"r_V: {_exact_column(r_value)} ({format_significant(r_value)})\n"
-        )
-        out.write(f"witness: {result.best_proposal.to_string()}\n")
+        report += [
+            f"best_matches: {result.value}",
+            f"R_V: {_exact_column(big_r)} ({format_significant(big_r)})",
+            f"r_V: {_exact_column(r_value)} ({format_significant(r_value)})",
+            f"witness: {result.best_proposal.to_string()}",
+        ]
+    out.write("".join(f"{line}\n" for line in report))
     return EXIT_OK
 
 
-# options each construction needs, checked before any work is done
+# the options of each construction, in the order of its header and of
+# constructions.<kind>_matrix's parameters; checked before any work is done
 _CONSTRUCT_OPTIONS = {
     "lemma1": ("t",),
     "theorem2": ("l",),
@@ -116,29 +113,20 @@ _CONSTRUCT_OPTIONS = {
 
 def cmd_construct(args, out) -> int:
     kind = args.kind
-    missing = [f"--{name}" for name in _CONSTRUCT_OPTIONS[kind] if getattr(args, name) is None]
+    options = {name: getattr(args, name) for name in _CONSTRUCT_OPTIONS[kind]}
+    missing = [f"--{name}" for name, value in options.items() if value is None]
     if missing:
         raise ParameterError(f"construct {kind} requires {' '.join(missing)}")
-    if kind == "vlp" and args.t > constructions.VLP_TOPIC_CAP:
-        raise ResourceLimitError(
-            f"construct vlp materializes up to 2^t rows; t > {constructions.VLP_TOPIC_CAP}"
-        )
-    if kind == "lemma1":
-        matrix = constructions.lemma1_matrix(args.t)
-        header = f"lemma1 t={args.t}"
-    elif kind == "theorem2":
-        matrix = constructions.theorem2_matrix(args.l)
-        header = f"theorem2 l={args.l}"
-    elif kind == "theorem3":
-        matrix = constructions.theorem3_matrix(args.t, args.k, args.M)
-        header = f"theorem3 t={args.t} k={args.k} M={args.M}"
-    elif kind == "lemma7":
-        matrix = constructions.lemma7_matrix(args.t, args.w, args.n)
-        header = f"lemma7 t={args.t} w={args.w} n={args.n}"
-    else:  # vlp; argparse restricts the choices
+    header = " ".join([kind, *(f"{name}={value}" for name, value in options.items())])
+    if kind == "vlp":
+        if args.t > constructions.VLP_TOPIC_CAP:
+            raise ResourceLimitError(
+                f"construct vlp materializes up to 2^t rows; t > {constructions.VLP_TOPIC_CAP}"
+            )
         solution = lpsolve.solve_ma(args.t, args.w)
-        matrix = constructions.vlp_matrix(args.t, args.w, solution.profile)
-        header = f"vlp t={args.t} w={args.w} ma={solution.ma}"
+        options["profile"] = solution.profile
+        header += f" ma={solution.ma}"
+    matrix = getattr(constructions, f"{kind}_matrix")(**options)
     text = matrixio.write_matrix(matrix, header=header)
     if args.out:
         with open(args.out, "w") as handle:
@@ -154,23 +142,21 @@ def cmd_ma(args, out) -> int:
         values = [(args.w, lpsolve.solve_ma(t, args.w).ma)]
     else:
         values = lpsolve.ma_table(t)
-    if args.float:
-        values = [(w, float(ma)) for w, ma in values]
-    points = dict(zip((w for w, _ in values), bounds_mod.figure2_points(t, values))) if t >= 3 else {}
+    if t >= 3:
+        curve = [list(map(format_significant, xy)) for xy in bounds_mod.figure2_points(t, values)]
+    else:  # the figure-2 curve starts at t = 3
+        curve = [["", ""]] * len(values)
     header = ["w", "ma_exact", "ma_decimal", "lemma7_bound", "figure2_x", "figure2_y"]
-    rows = []
-    for w, ma in values:
-        x, y = points.get(w, ("", ""))
-        rows.append(
-            [
-                w,
-                _exact_column(ma),
-                format_significant(ma),
-                format_significant(bounds_mod.ma_linear_lower(t, w)),
-                format_significant(x) if x != "" else "",
-                format_significant(y) if y != "" else "",
-            ]
-        )
+    rows = [
+        [
+            w,
+            _exact_column(ma),
+            format_significant(ma),
+            format_significant(bounds_mod.ma_linear_lower(t, w)),
+            *xy,
+        ]
+        for (w, ma), xy in zip(values, curve)
+    ]
     _write_csv(args.csv, header, rows, out)
     return EXIT_OK
 
@@ -194,7 +180,7 @@ def cmd_bounds(args, out) -> int:
     header = ["t", "lower", "upper", "analytic_upper"]
     rows = []
     for t in ts:
-        result = bounds_mod.rt_bounds(t, exact=not args.float)
+        result = bounds_mod.rt_bounds(t)
         rows.append(
             [
                 t,
@@ -236,9 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="generate a worst-case matrix")
-    p.add_argument(
-        "kind", choices=["lemma1", "theorem2", "theorem3", "lemma7", "vlp"]
-    )
+    p.add_argument("kind", choices=list(_CONSTRUCT_OPTIONS))
     p.add_argument("--t", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--k", type=int)
@@ -251,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ma", help="solve the maximum-average-majority LP")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--w", type=int, help="one w; every w when left out")
-    p.add_argument("--float", action="store_true", help="the certified values as floats")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_ma)
 
@@ -259,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=int)
     group.add_argument("--t-range", dest="t_range", help="A:B inclusive")
-    p.add_argument("--float", action="store_true", help="bounds from the certified values as floats")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_bounds)
 

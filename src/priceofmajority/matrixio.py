@@ -75,11 +75,7 @@ def scale_to_integer_weights(matrix: VoterMatrix) -> tuple[VoterMatrix, int]:
     """Smallest integer multiple making all row weights integral."""
     if matrix.has_integer_weights():
         return matrix, 1
-    scale = 1
-    for row in matrix.rows:
-        scale = scale * Fraction(row.weight).denominator // math.gcd(
-            scale, Fraction(row.weight).denominator
-        )
+    scale = math.lcm(*(Fraction(row.weight).denominator for row in matrix.rows))
     rows = tuple(
         VoterRow(r.mask, r.t, int(Fraction(r.weight) * scale)) for r in matrix.rows
     )

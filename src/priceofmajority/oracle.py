@@ -22,7 +22,6 @@ supporter weights sum to at least n), so every maximum here is over a nonempty s
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -62,11 +61,6 @@ def _check_cap(matrix: VoterMatrix, max_topics: int | None) -> None:
     if matrix.t > cap:
         raise ResourceLimitError(
             f"enumeration over 2^{matrix.t} proposals exceeds the cap of {cap} topics"
-        )
-    if max_topics is not None and max_topics > DEFAULT_TOPIC_CAP:
-        warnings.warn(
-            f"enumerating 2^{matrix.t} proposals; this may take a while",
-            stacklevel=3,
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .combinatorics import binomial, c_l, min_k, s_kl, s_kl_oracle
+from .combinatorics import binomial, c_l, min_k, s_kl, s_kl_oracle, s_kl_row
 from .constructions import lemma1_matrix
 from .core import ParameterError, VoterMatrix, absolute_representativeness, has_majority_support
 from .sampling import random_matrix
@@ -33,11 +33,13 @@ class SuiteResult:
 
 
 def suite_skl(rng, samples):
-    """Closed formula vs direct enumeration for every (t, k, l) with t <= 12."""
+    """Closed formula and the solver's row recurrence vs direct enumeration,
+    for every (t, k, l) with t <= 12."""
     for t in range(1, 13):
         for k in range(min_k(t), t + 1):
+            row = s_kl_row(t, k)
             for l in range(t + 1):
-                ok = s_kl(t, k, l) == s_kl_oracle(t, k, l)
+                ok = s_kl(t, k, l) == row[l] == s_kl_oracle(t, k, l)
                 yield ok, f"s_kl mismatch at t={t}, k={k}, l={l}", None
 
 

@@ -2,11 +2,21 @@ import csv
 import io
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from priceofmajority import Proposal, bounds, cli, lemma1_matrix, lpsolve, matrixio, verify
+from priceofmajority import (
+    Proposal,
+    bounds,
+    cli,
+    combinatorics,
+    lemma1_matrix,
+    lpsolve,
+    matrixio,
+    verify,
+)
 from priceofmajority.cli import format_significant, main
 from priceofmajority.core import has_majority_support, matches
 
@@ -86,11 +96,26 @@ class TestAnalyze:
         code, _ = run(["analyze", str(path)])
         assert code == 2
 
-    def test_resource_cap_exit_code(self, tmp_path):
+    def test_resource_cap_exit_code(self, tmp_path, intro_file, capsys):
         path = tmp_path / "wide.txt"
         path.write_text("Y" * 40 + "\n")
-        code, _ = run(["analyze", str(path)])
-        assert code == 3
+        # one case per rejection: the default cap, a cap below t, a cap above the hard cap
+        for argv in ([str(path)], [intro_file, "--max-t", "3"], [intro_file, "--max-t", "31"]):
+            code, text = run(["analyze", *argv])
+            assert code == 3
+            assert text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_max_t_lifts_the_default_cap(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("Y" * 25 + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", str(path)]) == (3, "")
+            code, text = run(["analyze", str(path), "--max-t", "25"])
+        assert code == 0
+        assert "md: 25\n" in text
 
     def test_directory_is_a_file_error(self, tmp_path, capsys):
         code, text = run(["analyze", str(tmp_path)])
@@ -158,6 +183,22 @@ class TestConstruct:
         assert code == 3
         assert text == ""
 
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["lemma1", "--t", "5"], "# lemma1 t=5"),
+            (["theorem2", "--l", "3"], "# theorem2 l=3"),
+            (["theorem3", "--t", "9", "--k", "3", "--M", "5"], "# theorem3 t=9 k=3 M=5"),
+            (["lemma7", "--t", "7", "--w", "5", "--n", "10"], "# lemma7 t=7 w=5 n=10"),
+            (["vlp", "--t", "3", "--w", "3"], "# vlp t=3 w=3 ma=2/3"),
+        ],
+        ids=["lemma1", "theorem2", "theorem3", "lemma7", "vlp"],
+    )
+    def test_header_names_the_parameters(self, argv, header):
+        code, text = run(["construct", *argv])
+        assert code == 0
+        assert text.splitlines()[0] == header
+
     def test_vlp_cap_checked_before_solving(self, monkeypatch):
         def no_solve(t, w):
             raise AssertionError("solve_ma called above the vlp cap")
@@ -192,24 +233,13 @@ class TestMa:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[1][1] == "2/3"
 
-    def test_float_mode_has_no_exact_column(self):
-        code, text = run(["ma", "--t", "9", "--float"])
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[-1][1] == ""
-        assert rows[-1][2] == "0.7222"
-
     def test_float_row_at_the_floor(self):
-        code, text = run(["ma", "--t", "199", "--float"])
+        code, text = run(["ma", "--t", "199"])
         assert code == 0
         row = next(r for r in csv.reader(io.StringIO(text)) if r[0] == "100")
-        assert row[1] == ""
-        assert row[2] == row[3] == "0.5000"
-        assert not row[5].startswith("-") and float(row[5]) >= 0
+        assert row[1:] == ["1/2", "0.5000", "0.5000", "0.000", "0.000"]
 
-    @pytest.mark.parametrize(
-        "extra", [["--float"], ["--float", "--w", "600"], ["--w", "600"], []]
-    )
+    @pytest.mark.parametrize("extra", [["--w", "600"], []])
     def test_above_cap_rejected_in_both_modes(self, extra):
         code, text = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), *extra])
         assert code == 3
@@ -228,7 +258,7 @@ class TestMa:
 
     @pytest.mark.parametrize(
         "argv",
-        [["ma", "--t", "0"], ["ma", "--t", "-3", "--float"], ["ma", "--t", "0", "--w", "1"]],
+        [["ma", "--t", "0"], ["ma", "--t", "-3"], ["ma", "--t", "0", "--w", "1"]],
     )
     def test_nonpositive_t_rejected(self, argv):
         code, text = run(argv)
@@ -255,11 +285,6 @@ class TestBounds:
         rows = list(csv.reader(io.StringIO(text)))
         assert [r[0] for r in rows[1:]] == ["3", "4", "5", "6"]
 
-    def test_float_agrees_with_exact(self):
-        _, exact = run(["bounds", "--t", "9"])
-        _, approx = run(["bounds", "--t", "9", "--float"])
-        assert exact == approx
-
     @pytest.mark.parametrize("spec", ["9:3", "a:b", "3:"])
     def test_bad_range_rejected(self, spec):
         code, text = run(["bounds", "--t-range", spec])
@@ -273,7 +298,7 @@ class TestBounds:
         assert rows[1:3] == [["1", "1.000", "1.000", "1.000"], ["2", "1.000", "1.000", "1.000"]]
 
     @pytest.mark.parametrize(
-        "argv", [["--t-range", "3:1001"], ["--t-range", "0:5"], ["--t", "1001", "--float"]]
+        "argv", [["--t-range", "3:1001"], ["--t-range", "0:5"], ["--t", "1001"]]
     )
     def test_range_checked_before_solving(self, monkeypatch, argv):
         def no_solve(t, exact=True):
@@ -301,6 +326,18 @@ class TestVerify:
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == list(verify.SUITES)
         assert all(": pass (" in line for line in text.splitlines())
+
+    def test_skl_suite_checks_the_solver_recurrence(self, monkeypatch):
+        def bumped(t, k):
+            row = combinatorics.s_kl_row(t, k)
+            if (t, k) == (7, 5):
+                row[3] += 1
+            return row
+
+        monkeypatch.setattr(verify, "s_kl_row", bumped)
+        code, text = run(["verify", "--suite", "skl"])
+        assert code == 1
+        assert text == "skl: FAIL (384/385 checks)\n  s_kl mismatch at t=7, k=5, l=3\n"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_rejected(self, samples):
