@@ -239,7 +239,9 @@ class TestMa:
         row = next(r for r in csv.reader(io.StringIO(text)) if r[0] == "100")
         assert row[1:] == ["1/2", "0.5000", "0.5000", "0.000", "0.000"]
 
-    @pytest.mark.parametrize("extra", [["--w", "600"], []])
+    @pytest.mark.parametrize(
+        "extra", [["--w", "1"], ["--w", "501"], ["--w", "600"], []]
+    )
     def test_above_cap_rejected_in_both_modes(self, extra):
         code, text = run(["ma", "--t", str(lpsolve.EXACT_T_CAP + 1), *extra])
         assert code == 3
