@@ -1,10 +1,11 @@
 """Command-line surface: matrix analysis, constructions, LP sweeps, bound tables.
 
-Exit codes: 0 success, 1 property failure, 2 matrix parse error or a file
-that cannot be read or written, 3 parameter or resource error, 4 unexpected
-internal error; each such failure is one ``error:`` line on standard error. All
-reports are plain text or CSV with dot decimal separators; rational values are
-rendered at 4 significant figures (truncated) next to an exact num/den column.
+Exit codes: 0 success, 1 property failure, 2 usage error (argparse's message),
+matrix parse error or a file that cannot be read or written, 3 parameter or
+resource error, 4 unexpected internal error; each failure but a usage error is
+one ``error:`` line on standard error. All reports are plain text or CSV with
+dot decimal separators; rational values are rendered at 4 significant figures
+(truncated) next to an exact num/den column.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import sys
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -35,31 +37,19 @@ EXIT_PARAMETER_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
 SIGNIFICANT_DIGITS = 4
+# every decimal operation of format_significant runs here, never in the thread's context
+_TRUNCATE = Context(prec=SIGNIFICANT_DIGITS, rounding=ROUND_DOWN)
 
 
 def format_significant(value) -> str:
     """Render truncated to SIGNIFICANT_DIGITS significant figures (dot separator)."""
-    digits = SIGNIFICANT_DIGITS
     f = Fraction(value)
     if f == 0:
-        return "0." + "0" * (digits - 1)
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    exponent = 0
-    while f >= 10:
-        f /= 10
-        exponent += 1
-    while f < 1:
-        f *= 10
-        exponent -= 1
-    # f in [1, 10); truncate to digits significant digits
-    scaled = int(f * 10 ** (digits - 1))
-    text = str(scaled)
-    if exponent >= digits - 1:
-        return sign + text + "0" * (exponent - digits + 1)
-    if exponent >= 0:
-        return sign + text[: exponent + 1] + "." + text[exponent + 1 :]
-    return sign + "0." + "0" * (-exponent - 1) + text
+        return "0." + "0" * (SIGNIFICANT_DIGITS - 1)
+    # the decimal spec rounds the exact quotient once, so ROUND_DOWN truncates it
+    quotient = _TRUNCATE.divide(Decimal(f.numerator), Decimal(f.denominator))
+    last_digit = Decimal(f"1e{quotient.adjusted() - SIGNIFICANT_DIGITS + 1}")
+    return format(_TRUNCATE.quantize(quotient, last_digit), "f")
 
 
 def _exact_column(value: Fraction) -> str:
@@ -101,7 +91,7 @@ def cmd_analyze(args, out) -> int:
 
 
 # the options of each construction, in the order of its header and of
-# constructions.<kind>_matrix's parameters; checked before any work is done
+# constructions.<kind>_matrix's parameters; each is a required int of its subcommand
 _CONSTRUCT_OPTIONS = {
     "lemma1": ("t",),
     "theorem2": ("l",),
@@ -114,9 +104,6 @@ _CONSTRUCT_OPTIONS = {
 def cmd_construct(args, out) -> int:
     kind = args.kind
     options = {name: getattr(args, name) for name in _CONSTRUCT_OPTIONS[kind]}
-    missing = [f"--{name}" for name, value in options.items() if value is None]
-    if missing:
-        raise ParameterError(f"construct {kind} requires {' '.join(missing)}")
     header = " ".join([kind, *(f"{name}={value}" for name, value in options.items())])
     if kind == "vlp":
         if args.t > constructions.VLP_TOPIC_CAP:
@@ -222,14 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="generate a worst-case matrix")
-    p.add_argument("kind", choices=list(_CONSTRUCT_OPTIONS))
-    p.add_argument("--t", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, names in _CONSTRUCT_OPTIONS.items():
+        kind_parser = kinds.add_parser(kind)
+        for name in names:
+            kind_parser.add_argument(f"--{name}", type=int, required=True)
+        kind_parser.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("ma", help="solve the maximum-average-majority LP")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from .bounds import rt_analytic_upper
 from .combinatorics import binomial, min_k, s_kl_row
 from .core import (
     ParameterError,
@@ -107,8 +108,6 @@ def theorem3_proof_parameters(t: int) -> tuple[int, int]:
     "k and M sufficiently large with M/k near sqrt(3/2)" prescription but
     returning concrete parameters usable at brute-force scale.
     """
-    from .bounds import rt_analytic_upper
-
     target = rt_analytic_upper(t)
     for k in range(2, THEOREM3_K_LIMIT + 1):
         for M in range(k + 1, 2 * k + 2):

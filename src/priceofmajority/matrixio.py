@@ -49,7 +49,7 @@ def parse_matrix(text: str) -> VoterMatrix:
         except ParameterError as exc:
             raise MatrixFormatError(str(exc), line_number) from exc
     if not rows:
-        raise MatrixFormatError("no voter rows found", line_number if t else 0)
+        raise MatrixFormatError("no voter rows found", 0)
     return VoterMatrix(t, tuple(rows))
 
 

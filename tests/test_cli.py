@@ -1,5 +1,7 @@
 import csv
+import decimal
 import io
+import re
 import subprocess
 import sys
 import warnings
@@ -36,22 +38,51 @@ def intro_file(tmp_path):
     return str(path)
 
 
+# edge inputs and their truncated renderings; the float 0.6 is just below 3/5
+FORMAT_EDGES = [
+    (Fraction(19999, 2000), "9.999"),
+    (Fraction(19999, 20000), "0.9999"),
+    (99995, "99990"),
+    (10000, "10000"),
+    (Fraction(1, 10**7), "0.0000001000"),
+    (Fraction(123456789, 1000), "123400"),
+    (-Fraction(1, 800), "-0.001250"),
+    (0.6, "0.5999"),
+    (1e300, "1000" + "0" * 297),
+]
+
+
 class TestFormatSignificant:
     def test_truncates_not_rounds(self):
         assert format_significant(Fraction(7, 11)) == "0.6363"
         assert format_significant(Fraction(2, 3)) == "0.6666"
+        assert format_significant(Fraction(19999, 2000)) == "9.999"
+        assert format_significant(Fraction(19999, 20000)) == "0.9999"
+        assert format_significant(99995) == "99990"
+        assert format_significant(0.6) == "0.5999"
 
     def test_integers_and_exact_values(self):
         assert format_significant(Fraction(1, 2)) == "0.5000"
         assert format_significant(1) == "1.000"
         assert format_significant(0) == "0.000"
+        assert format_significant(10000) == "10000"
 
     def test_large_and_small_magnitudes(self):
         assert format_significant(Fraction(12345, 1)) == "12340"
         assert format_significant(Fraction(1, 800)) == "0.001250"
+        assert format_significant(Fraction(1, 10**7)) == "0.0000001000"
+        assert format_significant(Fraction(123456789, 1000)) == "123400"
+        assert format_significant(1e300) == "1000" + "0" * 297
 
     def test_negative(self):
         assert format_significant(Fraction(-7, 11)) == "-0.6363"
+        assert format_significant(-Fraction(1, 800)) == "-0.001250"
+
+    def test_ignores_the_thread_decimal_context(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax = 1, decimal.ROUND_UP, 10
+            rendered = [format_significant(value) for value, _ in FORMAT_EDGES]
+        assert rendered == [text for _, text in FORMAT_EDGES]
 
 
 class TestAnalyze:
@@ -178,10 +209,42 @@ class TestConstruct:
             ["construct", "vlp", "--t", "5"],
         ],
     )
-    def test_missing_options(self, argv):
-        code, text = run(argv)
-        assert code == 3
-        assert text == ""
+    def test_missing_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        options = [f"--{name}" for name in cli._CONSTRUCT_OPTIONS[argv[1]]]
+        missing = [option for option in options if option not in argv]
+        assert captured.err.splitlines()[-1].endswith("required: " + ", ".join(missing))
+
+    @pytest.mark.parametrize(
+        "argv, foreign",
+        [
+            (["lemma1", "--t", "3", "--M", "9"], "--M 9"),
+            (["theorem2", "--l", "3", "--t", "3"], "--t 3"),
+            (["theorem3", "--t", "5", "--k", "4", "--M", "6", "--w", "2"], "--w 2"),
+            (["lemma7", "--t", "7", "--w", "5", "--n", "10", "--l", "1"], "--l 1"),
+            (["vlp", "--t", "3", "--w", "3", "--n", "3"], "--n 3"),
+        ],
+        ids=["lemma1", "theorem2", "theorem3", "lemma7", "vlp"],
+    )
+    def test_foreign_option_rejected(self, argv, foreign, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {foreign}")
+
+    @pytest.mark.parametrize("kind", list(cli._CONSTRUCT_OPTIONS))
+    def test_kind_help_lists_its_options(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", kind, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--(\w+)", capsys.readouterr().out)) - {"help"}
+        assert listed == {*cli._CONSTRUCT_OPTIONS[kind], "out"}
 
     @pytest.mark.parametrize(
         "argv, header",
