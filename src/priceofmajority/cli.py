@@ -99,6 +99,36 @@ _CONSTRUCT_OPTIONS = {
     "lemma7": ("t", "w", "n"),
     "vlp": ("t", "w"),
 }
+_CONSTRUCT_HELP = {
+    "lemma1": "Lemma 1: Y-majorities on all t topics, yet md = ceil((t+1)/2)",
+    "theorem2": "Theorem 2: the 3-topic family whose r_V tends to the floor 5/6",
+    "theorem3": "Theorem 3: an equal-majority matrix with r_V below the analytic r_t limit",
+    "lemma7": "Lemma 7: a high average majority with no majority-supported w-Y proposal",
+    "vlp": "the ma_t(w) LP optimum as a topic-symmetric matrix",
+}
+_OPTION_HELP = {  # one meaning per option name across the kinds
+    "t": "number of topics",
+    "l": "weight of each of the three singleton voters",
+    "k": "all-Y voters; the matrix has n = 2k+1 voters",
+    "M": "Ys in every column, k+1 <= M <= 2k+1",
+    "w": "no proposal with w or more Ys may have majority support",
+    "n": "number of voters",
+    "out": "write the matrix to this file instead of standard output",
+}
+
+
+class _KindParser(argparse.ArgumentParser):
+    """A ``construct`` kind that rejects an unknown argument with its own usage line.
+
+    argparse hands a subcommand's unknown arguments up to the top parser,
+    whose usage line names no kind; this parser reports them itself.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def cmd_construct(args, out) -> int:
@@ -209,12 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="generate a worst-case matrix")
-    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_KindParser)
     for kind, names in _CONSTRUCT_OPTIONS.items():
-        kind_parser = kinds.add_parser(kind)
+        kind_help = _CONSTRUCT_HELP[kind]
+        kind_parser = kinds.add_parser(kind, help=kind_help, description=kind_help)
         for name in names:
-            kind_parser.add_argument(f"--{name}", type=int, required=True)
-        kind_parser.add_argument("--out")
+            kind_parser.add_argument(f"--{name}", type=int, required=True, help=_OPTION_HELP[name])
+        kind_parser.add_argument("--out", help=_OPTION_HELP["out"])
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("ma", help="solve the maximum-average-majority LP")

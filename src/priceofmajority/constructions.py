@@ -10,7 +10,7 @@ import math
 from itertools import combinations
 
 from .bounds import rt_analytic_upper
-from .combinatorics import binomial, min_k, s_kl_row
+from .combinatorics import binomial, min_k
 from .core import (
     ParameterError,
     ResourceLimitError,
@@ -19,6 +19,7 @@ from .core import (
     VoterRow,
     column_tally,
 )
+from .lpsolve import _integer_rows, _primal_check
 
 VLP_TOPIC_CAP = 20
 THEOREM3_K_LIMIT = 200  # largest k theorem3_proof_parameters scans
@@ -143,8 +144,8 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     equal rational weight, so permuting topics maps the row multiset onto
     itself; the total weight is 1 and the average majority equals the
     profile's objective value sum(l * v_l) / t. Feasibility (every k-proposal
-    with k >= w supported by at most half the weight) is validated on the
-    rows the LP solver uses, 2 sum_l s_kl v_l <= C(t, k), so a boundary
+    with k >= w supported by at most half the weight) is the LP solver's own
+    primal check on its rows 2 sum_l s_kl v_l <= C(t, k), so a boundary
     profile is accepted with supporter weight exactly 1/2.
     """
     if t > VLP_TOPIC_CAP:
@@ -153,12 +154,9 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
         raise ParameterError(f"profile covers {profile.t} topics, expected {t}")
     if not min_k(t) <= w <= t:
         raise ParameterError(f"vlp_matrix requires {min_k(t)} <= w <= {t}")
-    for k in range(w, t + 1):
-        row = s_kl_row(t, k)
-        if 2 * sum(row[l] * v for l, v in enumerate(profile.fractions) if v) > binomial(t, k):
-            raise ParameterError(
-                f"profile infeasible: k-proposal support exceeds half at k={k}"
-            )
+    cut, _ = _primal_check(w, _integer_rows(t, w), dict(enumerate(profile.fractions)))
+    if cut is not None:
+        raise ParameterError(f"profile infeasible: k-proposal support exceeds half at k={cut}")
     rows = []
     for l, v in enumerate(profile.fractions):
         if v == 0:

@@ -46,16 +46,13 @@ certifying round.
 
 The degenerate rows. For odd t and w = ceil((t+1)/2) + a with a = 0 or 1,
 the optimum is the paper's lemma-7 profile x_a = x_t = 1/2 with every row
-tight, and simplex pivots through all of them. A shifted form of the paper's
-support-sum identity solves both directly. With f_l = sum_k (2k - t) s_kl
-over the rows k >= w, the duals y_k proportional to 2k - t, plus a on the
-mass row, price every column out when (t - a) f_l >= (l - a) f_t for every
-l; then ma = (a + t)/(2t). At a = 0 the identity f_l = l C(t-1, floor(t/2))
-makes every dual constraint an equality; the check is exact, and a failure
-raises, since the identity is a theorem. At a = 1 the inequality is an
-exact check of an observation (it holds for every odd t in 5..401 and at
-t = 499, 601, 701, 799, 901 and 999), and a failed check sends the row to the
-working set.
+tight, and simplex pivots through all of them. That profile and the duals
+y_k proportional to 2k - t, plus a on the mass row, are a candidate that the
+working set's own primal and dual checks certify, with no pivots. At a = 0
+every reduced cost is 0, which is the paper's support-sum identity, and a
+failure raises. At a = 1 the pricing is an observation (it holds for every
+odd t in 5..401 and at t = 499, 601, 701, 799, 901 and 999), and a failed
+check sends the row to the working set.
 
 The integer simplex is a dense tableau on integers: each tableau row is an
 integer vector over one positive integer denominator, divided by its gcd
@@ -352,33 +349,13 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     column = {l: j for j, l in enumerate(col_ls)}  # tableau column of each l
     tableau.primal()
     while True:
-        # x on its support over one denominator
         values = tableau.primal_values()
-        x = [(l, values[j]) for l, j in column.items() if values.get(j)]
-        den = lcm(*(v.denominator for _, v in x))
-        p = [(l, v.numerator * (den // v.denominator)) for l, v in x]
-        # separation: row k needs 2 s_k.p <= C(t, k) den
-        cut, cut_excess, cut_c = None, 0, 1
-        active = []
-        for k in range(w, t + 1):
-            c, row = rows[k - w]
-            excess = 2 * sum(row[l] * n for l, n in p) - c * den
-            if excess == 0:
-                active.append(k)
-            elif excess > 0 and excess * cut_c > cut_excess * c:  # most violated per C(t, k)
-                cut, cut_excess, cut_c = k, excess, c
-        # pricing over the objective row's denominator: l - sum_k 2 y_k s_kl - y_mass
-        obj = tableau.obj
-        duals = [(k, obj[s]) for k, s in zip(row_ks, tableau.slacks) if obj[s]]
-        weights = [(rows[k - w][1], 2 * y) for k, y in duals if k is not None]
-        base = tableau.obj_den
-        offset = sum(y for k, y in duals if k is None)
-        price, best = None, 0
-        for l in range(1, t + 1):
-            if l not in column:
-                reduced = l * base - offset - sum(row[l] * u for row, u in weights)
-                if reduced > best:
-                    price, best = l, reduced
+        x = {l: values[j] for l, j in column.items() if values.get(j)}
+        cut, active = _primal_check(w, rows, x)
+        duals = [(k, tableau.obj[s]) for k, s in zip(row_ks, tableau.slacks) if tableau.obj[s]]
+        reduced = _reduced_costs(t, w, rows, duals, tableau.obj_den)
+        priced_in = [l for l in range(1, t + 1) if l not in column and reduced[l] > 0]
+        price = max(priced_in, key=reduced.__getitem__, default=None)  # the first on a tie
         if cut is None and price is None:
             break
         if cut is not None:
@@ -394,45 +371,68 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
             column[price] = len(tableau.obj) - 2
             tableau.primal()
     dual_ks = tuple(k for k, _ in duals if k is not None)
-    return dict(x), tableau.value(), tuple(active), tableau.pivots, dual_ks
+    return x, tableau.value(), active, tableau.pivots, dual_ks
 
 
-def _support_sums(t: int, w: int, rows) -> list[int]:
-    """f_l = sum_k (2k - t) s_kl over the rows k = w..t, for l = 0..t."""
-    f = [0] * (t + 1)
-    for k, (_, row) in zip(range(w, t + 1), rows):
-        scale = 2 * k - t
-        f = [u + scale * s for u, s in zip(f, row)]
-    return f
+def _primal_check(w: int, rows, x):
+    """(cut, active) of the profile x = {l: v'_l} on the rows 2 s_k.v' <= C(t, k), k = w..t.
+
+    ``rows`` is :func:`_integer_rows` (t, w). ``cut`` is the row x violates
+    most per C(t, k), the first on a tie, or None; ``active`` are the tight rows.
+    """
+    den = lcm(*(v.denominator for v in x.values()))
+    p = [(l, v.numerator * (den // v.denominator)) for l, v in x.items() if v]
+    cut, cut_excess, cut_c = None, 0, 1
+    active = []
+    for k, (c, row) in enumerate(rows, w):
+        excess = 2 * sum(row[l] * n for l, n in p) - c * den
+        if excess == 0:
+            active.append(k)
+        elif excess > 0 and excess * cut_c > cut_excess * c:
+            cut, cut_excess, cut_c = k, excess, c
+    return cut, tuple(active)
+
+
+def _reduced_costs(t: int, w: int, rows, duals, den: int) -> list[int]:
+    """Reduced costs l - sum_k 2 y_k s_kl - y_mass of the columns l = 0..t, over ``den``.
+
+    ``duals`` = [(k, y_k)] are numerators over ``den`` on the rows of
+    ``rows`` = :func:`_integer_rows` (t, w), k = None on the mass row, summed
+    row by row. y prices column l out when its reduced cost is <= 0.
+    """
+    reduced = [l * den for l in range(t + 1)]
+    for k, y in duals:
+        if k is None:
+            reduced = [r - y for r in reduced]
+        else:
+            u = 2 * y
+            reduced = [r - u * s for r, s in zip(reduced, rows[k - w][1])]
+    return reduced
 
 
 def _lemma7_certificate(t: int, w: int, rows):
     """ma_t(w) = (a + t)/(2t) at odd t and w = ceil((t+1)/2) + a for a = 0, 1.
 
-    The primal is the lemma-7 profile x_a = x_t = 1/2, feasible with every
-    row tight when s_ka = 0 and s_kt = C(t, k). With f_l = sum_k (2k - t) s_kl
-    over k >= w, the duals y_k = (t - a)(2k - t) / (2 f_t) on the rows
-    2 s_k.v' <= C(t, k) and a on the mass row price column l out when
-    (t - a) f_l >= (l - a) f_t, with equality at l = a and l = t; both
-    objectives are then (a + t)/2.
-
-    At a = 0 this is the paper's support-sum identity f_l = l C(t-1, floor(t/2)),
-    and the duals are (2k - t) C(t, k) / (t C(t-1, floor(t/2))) on the
-    normalized rows; a failed check raises, since the identity is a theorem.
-    At a = 1 the dual inequality is checked, not proved: a failed check
-    returns None and the row goes to the working set.
+    A candidate certified by :func:`_primal_check` and :func:`_reduced_costs`:
+    the lemma-7 profile x_a = x_t = 1/2 with every row tight, and the duals
+    y_k = (t - a)(2k - t) / (2 f_t) on the rows 2 s_k.v' <= C(t, k) and a on
+    the mass row, f_t = sum_{k >= w} (2k - t) C(t, k) = t C(t-1, w-1) (it
+    telescopes). Both objectives are (a + t)/2. At a = 0 every reduced cost is
+    0, the paper's support-sum identity sum_k (2k - t) s_kl = l C(t-1, t // 2),
+    and a failure raises, since it is a theorem. At a = 1 a column that prices
+    in returns None, and the row goes to the working set.
     """
     a = w - min_k(t)
-    tight = all(row[a] == 0 and row[t] == c for c, row in rows)
-    f = _support_sums(t, w, rows)
-    if a == 0:
-        unit = binomial(t - 1, t // 2)
-        if not (tight and f == [l * unit for l in range(t + 1)]):
-            raise AssertionError(f"support-sum identity fails at t={t}")
-    if not tight or any((t - a) * u < (l - a) * f[t] for l, u in enumerate(f)):
-        return None
     every_row = tuple(range(w, t + 1))
     x = {l: Fraction(1, 2) for l in (a, t) if l}  # v'_0 takes the rest of the mass
+    tight = _primal_check(w, rows, x)[1] == every_row
+    den = 2 * t * binomial(t - 1, w - 1)
+    duals = [(k, (t - a) * (2 * k - t)) for k in every_row] + [(None, a * den)]
+    reduced = _reduced_costs(t, w, rows, duals, den)
+    if a == 0 and (not tight or any(reduced)):
+        raise AssertionError(f"support-sum identity fails at t={t}")
+    if not tight or max(reduced) > 0:
+        return None
     return x, Fraction(a + t, 2), every_row, 0, every_row
 
 

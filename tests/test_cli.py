@@ -236,6 +236,7 @@ class TestConstruct:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"usage: priceofmajority construct {argv[0]} ")
         assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {foreign}")
 
     @pytest.mark.parametrize("kind", list(cli._CONSTRUCT_OPTIONS))
@@ -243,8 +244,12 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc:
             run(["construct", kind, "--help"])
         assert exc.value.code == 0
-        listed = set(re.findall(r"--(\w+)", capsys.readouterr().out)) - {"help"}
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"--(\w+)", text)) - {"help"}
         assert listed == {*cli._CONSTRUCT_OPTIONS[kind], "out"}
+        # every option line carries a help string after its metavar
+        described = set(re.findall(r"^  --(\w+) [A-Z]+ +\S", text, re.MULTILINE))
+        assert described == listed
 
     @pytest.mark.parametrize(
         "argv, header",

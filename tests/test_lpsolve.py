@@ -199,18 +199,38 @@ class TestWorkingSet:
             assert solution.active == tuple(range(w, t + 1)), t
 
     def test_failed_lemma7_dual_check_falls_back(self, monkeypatch):
-        sums = lpsolve._support_sums
+        reduced_costs = lpsolve._reduced_costs
+        calls = []
 
-        def doubled_f_t(t, w, rows):
-            f = sums(t, w, rows)
-            f[t] *= 2  # (t - 1) f_t >= (t - 1) 2 f_t fails
-            return f
+        def column_2_prices_in_first(*args):
+            reduced = reduced_costs(*args)
+            if not calls:  # the lemma-7 candidate prices before any working-set round
+                reduced[2] = 1
+            calls.append(args)
+            return reduced
 
-        monkeypatch.setattr(lpsolve, "_support_sums", doubled_f_t)
+        monkeypatch.setattr(lpsolve, "_reduced_costs", column_2_prices_in_first)
         for t in (5, 9, 15, 21):
+            calls.clear()
             solution = solve_ma(t, min_k(t) + 1)
-            assert solution.pivots > 0, t
+            assert solution.pivots > 0 and len(calls) > 1, t
             assert solution.ma == _full_simplex_ma(t, min_k(t) + 1) == Fraction(t + 1, 2 * t), t
+
+    def test_seeded_sweep_pivot_totals(self, monkeypatch):
+        # pins the sweep's pivots: a change to the seeds, the checks or the tie order moves them
+        solve = lpsolve._working_set_solve
+        pivots = []
+
+        def counted(*args):
+            result = solve(*args)
+            pivots.append(result[3])
+            return result
+
+        monkeypatch.setattr(lpsolve, "_working_set_solve", counted)
+        for t, total in ((99, 263), (149, 442)):
+            pivots.clear()
+            ma_table(t)
+            assert sum(pivots) == total, t
 
     def test_half_certificate_checks_the_identity(self):
         t = 9
