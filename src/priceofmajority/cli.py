@@ -1,11 +1,11 @@
 """Command-line surface: matrix analysis, constructions, LP sweeps, bound tables.
 
 Exit codes: 0 success, 1 property failure, 2 usage error (argparse's message),
-matrix parse error or a file that cannot be read or written, 3 parameter or
-resource error, 4 unexpected internal error; each failure but a usage error is
-one ``error:`` line on standard error. All reports are plain text or CSV with
-dot decimal separators; rational values are rendered at 4 significant figures
-(truncated) next to an exact num/den column.
+matrix parse error or a file that cannot be read, decoded as UTF-8 or written,
+3 parameter or resource error, 4 unexpected internal error; each failure but a
+usage error is one ``error:`` line on standard error. All reports are plain
+text or CSV with dot decimal separators; rational values are rendered at 4
+significant figures (truncated) next to an exact num/den column.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     canonicalize,
     column_tally,
     opinions_to_string,
+    relative_representativeness,
 )
 
 EXIT_OK = 0
@@ -62,7 +63,7 @@ def _write_csv(path, header, rows, out):
 
 
 def cmd_analyze(args, out) -> int:
-    with open(args.matrix) as handle:
+    with open(args.matrix, encoding="utf-8") as handle:
         matrix = matrixio.parse_matrix(handle.read())
     canonical, flip_mask = canonicalize(matrix)
     tally = column_tally(canonical)
@@ -79,7 +80,7 @@ def cmd_analyze(args, out) -> int:
     if args.metric in ("matches", "both"):
         result = oracle.best_representation(canonical, max_topics=args.max_t)
         big_r = absolute_representativeness(canonical, result.best_proposal)
-        r_value = big_r / tally.m_V
+        r_value = relative_representativeness(canonical, result.best_proposal)
         report += [
             f"best_matches: {result.value}",
             f"R_V: {_exact_column(big_r)} ({format_significant(big_r)})",
@@ -276,7 +277,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (matrixio.MatrixFormatError, OSError) as exc:
+    except (matrixio.MatrixFormatError, OSError, UnicodeDecodeError) as exc:
         return _error(exc, EXIT_PARSE_ERROR)
     except (ParameterError, ResourceLimitError) as exc:
         return _error(exc, EXIT_PARAMETER_ERROR)

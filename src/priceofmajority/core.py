@@ -177,12 +177,12 @@ class ColumnTally:
 
     def m(self, i: int) -> Fraction:
         """Fraction of Ys on topic ``i`` (0-based); >= 1/2 in canonical form."""
-        return Fraction(self.y_weights[i]) / Fraction(self.n)
+        return Fraction(self.y_weights[i]) / self.n
 
     @property
     def m_V(self) -> Fraction:
         """Average Y-fraction over all topics."""
-        return Fraction(sum(self.y_weights)) / (Fraction(self.n) * self.t)
+        return Fraction(sum(self.y_weights)) / (self.n * self.t)
 
 
 @dataclass(frozen=True)
@@ -287,16 +287,17 @@ def matches(matrix: VoterMatrix, proposal: Proposal) -> Weight:
 
 def absolute_representativeness(matrix: VoterMatrix, proposal: Proposal) -> Fraction:
     """Fraction of the n*t voter opinions that match the proposal; in [0, 1]."""
-    return Fraction(matches(matrix, proposal)) / (Fraction(matrix.n) * matrix.t)
+    return Fraction(matches(matrix, proposal)) / (matrix.n * matrix.t)
 
 
 def relative_representativeness(matrix: VoterMatrix, proposal: Proposal) -> Fraction:
     """Absolute representativeness divided by the average majority size m_V.
 
-    Requires canonical input so that m_V is the average majority; equals 1
-    exactly for the all-Y proposal.
+    Both are over the n*t opinions, so this is matches / sum_i y_i. Requires
+    canonical input so that m_V is the average majority; equals 1 exactly
+    for the all-Y proposal.
     """
-    return absolute_representativeness(matrix, proposal) / column_tally(matrix).m_V
+    return Fraction(matches(matrix, proposal)) / sum(column_tally(matrix).y_weights)
 
 
 def majority_decisions(proposal: Proposal) -> int:
@@ -306,8 +307,7 @@ def majority_decisions(proposal: Proposal) -> int:
 
 def type_profile(matrix: VoterMatrix) -> TypeProfile:
     """Fraction of total weight held by l-voters, for l = 0..t."""
-    weights = [Fraction(0)] * (matrix.t + 1)
+    weights = [0] * (matrix.t + 1)
     for row in matrix.rows:
-        weights[row.ones_count] += Fraction(row.weight)
-    total = Fraction(matrix.n)
-    return TypeProfile(tuple(w / total for w in weights))
+        weights[row.ones_count] += row.weight
+    return TypeProfile(tuple(Fraction(w) / matrix.n for w in weights))

@@ -63,10 +63,12 @@ and breaks ratio-test ties lexicographically, which keeps it from stalling
 on the highly degenerate rows next to w = ceil((t+1)/2), where every row is
 tight; after a run of degenerate pivots it switches to Bland's anti-cycling
 rule, and the dual simplex uses Bland's rule throughout, so termination is
-guaranteed and results are deterministic. Values become Fractions only in
-the returned :class:`LpSolution`. The float results (:func:`solve_ma_float`,
-``ma_table(t, exact=False)``) are these certified optima cast to float; there
-is no second solver.
+guaranteed and results are deterministic. The tableau, its duals and the
+reduced costs are integers; each round reads the basic values as Fractions
+for the primal check, which clears them to integers over one denominator,
+and the returned :class:`LpSolution` holds Fractions. The float results
+(:func:`solve_ma_float`, ``ma_table(t, exact=False)``) are these certified
+optima cast to float; there is no second solver.
 """
 
 from __future__ import annotations

@@ -35,8 +35,6 @@ def parse_matrix(text: str) -> VoterMatrix:
                 line_number,
             )
         weight = int(m.group(1)) if m.group(1) else 1
-        if weight < 1:
-            raise MatrixFormatError("weight must be >= 1", line_number)
         mask, row_t = parse_opinions(m.group(2))
         if t is None:
             t = row_t

@@ -33,10 +33,10 @@ from .core import (
     Proposal,
     ResourceLimitError,
     VoterMatrix,
-    absolute_representativeness,
     column_tally,
     has_majority_support,
     matches,
+    relative_representativeness,
     support_threshold,
     supporter_weight,
 )
@@ -214,9 +214,8 @@ def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
 
 def r_V(matrix: VoterMatrix, max_topics: int | None = None) -> Fraction:
     """Best relative representativeness of a majority-supported proposal."""
-    result = best_representation(matrix, max_topics)
-    tally = column_tally(matrix)
-    return Fraction(result.value) / (Fraction(matrix.n) * matrix.t * tally.m_V)
+    best = best_representation(matrix, max_topics).best_proposal
+    return relative_representativeness(matrix, best)
 
 
 def half_proposal(matrix: VoterMatrix) -> Proposal:
@@ -224,33 +223,25 @@ def half_proposal(matrix: VoterMatrix) -> Proposal:
 
     Takes the maximal k (in the given topic order) such that agreeing with
     the majority on the first k topics and the minority on the rest stays at
-    representativeness <= 1/2; that proposal and its opposite then straddle
-    1/2, and whichever has majority support is returned (preferring the
-    larger representativeness when both qualify). Linear time, no
-    enumeration; requires canonical input.
+    representativeness <= 1/2; that proposal and its opposite split the n*t
+    opinions, so they straddle 1/2, and whichever has majority support is
+    returned (preferring the larger representativeness when both qualify).
+    Linear time on running match counts, no enumeration; requires canonical
+    input.
     """
-    tally = column_tally(matrix)
-    t = matrix.t
-    total = sum(Fraction(1) - tally.m(i) for i in range(t))
+    ys = column_tally(matrix).y_weights
+    t, n = matrix.t, matrix.n
+    matched = sum(n - y for y in ys)
     k = 0
-    while k < t:
-        candidate = total + 2 * tally.m(k) - 1  # swap topic k from minority to majority
-        if candidate > Fraction(t, 2):
-            break
-        total = candidate
+    while k < t and 2 * (matched + 2 * ys[k] - n) <= t * n:
+        matched += 2 * ys[k] - n  # topic k moves from the minority to the majority
         k += 1
     p = Proposal((1 << k) - 1, t)
-    q = p.opposite()
-    p_ok = has_majority_support(matrix, p)
-    q_ok = has_majority_support(matrix, q)
-    if p_ok and q_ok:
-        return (
-            p
-            if absolute_representativeness(matrix, p)
-            > absolute_representativeness(matrix, q)
-            else q
-        )
-    return p if p_ok else q
+    if has_majority_support(matrix, p) and (
+        2 * matched > t * n or not has_majority_support(matrix, p.opposite())
+    ):
+        return p
+    return p.opposite()
 
 
 def rule_of_three_fourths_check(matrix: VoterMatrix) -> bool:

@@ -121,11 +121,16 @@ class TestAnalyze:
         code, _ = run(["analyze", str(tmp_path / "absent.txt")])
         assert code == 2
 
-    def test_malformed_file(self, tmp_path):
+    def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        path.write_text("YNQ\n")
-        code, _ = run(["analyze", str(path)])
-        assert code == 2
+        # a bad opinion character, and bytes that are not UTF-8 text
+        for content in (b"YNQ\n", b"\xff\xfe\n"):
+            path.write_bytes(content)
+            code, text = run(["analyze", str(path)])
+            assert code == 2
+            assert text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_resource_cap_exit_code(self, tmp_path, intro_file, capsys):
         path = tmp_path / "wide.txt"

@@ -21,6 +21,7 @@ from priceofmajority import (
     lemma1_matrix,
     md_of,
     r_V,
+    relative_representativeness,
     rule_of_three_fourths_check,
     theorem2_matrix,
     theorem3_matrix,
@@ -313,6 +314,40 @@ class TestHalfProposal:
             assert has_majority_support(matrix, p)
             assert absolute_representativeness(matrix, p) >= Fraction(1, 2) - Fraction(1, t)
 
+    def test_choice_follows_the_representativeness_rule(self):
+        """The mask is that of the rule restated in Fractions: the longest prefix
+        of majority topics whose proposal p keeps R(p) <= 1/2, then p when it is
+        supported and R(p) > R(q) or its opposite q is not supported, else q."""
+        rng = random.Random(37)
+        branches = set()
+        for i in range(2400):
+            t = rng.randint(1, 10)
+            weights = [
+                rng.randint(1, 3) if i % 2 else Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 6))
+            ]
+            matrix = VoterMatrix(t, tuple(VoterRow(rng.randrange(1 << t), t, w) for w in weights))
+            if i % 4 < 2:
+                matrix, _ = canonicalize(matrix)
+            tally = column_tally(matrix)
+            total, k = sum(1 - tally.m(j) for j in range(t)), 0
+            while k < t and total + 2 * tally.m(k) - 1 <= Fraction(t, 2):
+                total += 2 * tally.m(k) - 1
+                k += 1
+            p = Proposal((1 << k) - 1, t)
+            q = p.opposite()
+            p_ok, q_ok = has_majority_support(matrix, p), has_majority_support(matrix, q)
+            if p_ok and q_ok:
+                p_wins = absolute_representativeness(matrix, p) > absolute_representativeness(
+                    matrix, q
+                )
+                expected, branch = (p, "p over q") if p_wins else (q, "q over p")
+            else:
+                expected, branch = (p, "p alone") if p_ok else (q, "q alone")
+            branches.add(branch)
+            assert half_proposal(matrix).mask == expected.mask
+        assert branches == {"p over q", "q over p", "p alone", "q alone"}
+
 
 class TestRuleOfThreeFourths:
     def test_unanimous(self):
@@ -346,7 +381,10 @@ class TestRelativeFloor:
         for _ in range(400):
             matrix = random_matrix(rng)
             t = matrix.t
-            assert r_V(matrix) >= Fraction(2, 3) - Fraction(4, 3 * t)
+            r = r_V(matrix)
+            assert r >= Fraction(2, 3) - Fraction(4, 3 * t)
+            best = best_representation(matrix).best_proposal
+            assert r == relative_representativeness(matrix, best)
 
 
 def _level_walk(matrix):
