@@ -48,22 +48,20 @@ def rt_analytic_upper(t: int) -> float:
     return 2 * math.sqrt(6) - 4 + correction
 
 
-def _lower_candidate(t, w, ma_next):
-    """max(w/(2t-w), (t-2)/(2t ma_next)); a Fraction when ma_next is exact."""
-    one = Fraction(1) if isinstance(ma_next, (Fraction, int)) else 1.0
-    return max(one * w / (2 * t - w), one * (t - 2) / (2 * t * ma_next))
-
-
 def _upper_candidate(t, w, ma):
     num = (w - 1) * ma + (t - w + 1) * (1 - ma)
     return num / (t * ma)
 
 
 def _lower_candidates(t, ma_values) -> list:
-    """The lower candidate of each w, with ma_t(t+1) = 1 in the values' number type."""
+    """max(w/(2t-w), (t-2)/(2t ma_t(w+1))) of each w, with ma_t(t+1) = 1: Fractions
+    when the values are exact (Fraction or int), floats otherwise."""
+    one = Fraction(1) if isinstance(ma_values[-1][1], (Fraction, int)) else 1.0
     by_w = dict(ma_values)
-    one = type(ma_values[-1][1])(1)
-    return [_lower_candidate(t, w, by_w.get(w + 1, one)) for w, _ in ma_values]
+    return [
+        max(one * w / (2 * t - w), one * (t - 2) / (2 * t * by_w.get(w + 1, one)))
+        for w, _ in ma_values
+    ]
 
 
 def rt_upper_numeric(t: int, ma_values) -> Fraction | float:

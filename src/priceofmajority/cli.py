@@ -63,8 +63,13 @@ def _write_csv(path, header, rows, out):
 
 
 def cmd_analyze(args, out) -> int:
-    with open(args.matrix, encoding="utf-8") as handle:
-        matrix = matrixio.parse_matrix(handle.read())
+    with open(args.matrix, "rb") as handle:
+        data = handle.read()
+    try:  # decoded whole, so exc.start is an offset in the file
+        matrix = matrixio.parse_matrix(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        reason = f"{args.matrix} is not UTF-8 text: {exc.reason} 0x{data[exc.start]:02x}"
+        raise matrixio.MatrixFormatError(reason, data.count(b"\n", 0, exc.start) + 1) from None
     canonical, flip_mask = canonicalize(matrix)
     tally = column_tally(canonical)
     t = canonical.t
@@ -277,7 +282,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (matrixio.MatrixFormatError, OSError, UnicodeDecodeError) as exc:
+    except (matrixio.MatrixFormatError, OSError) as exc:
         return _error(exc, EXIT_PARSE_ERROR)
     except (ParameterError, ResourceLimitError) as exc:
         return _error(exc, EXIT_PARAMETER_ERROR)

@@ -52,38 +52,45 @@ def _check_topics(t: int) -> None:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """One binary opinion per topic; a candidate compromise.
-
-    A proposal with exactly ``k`` Ys is called a k-proposal.
-    """
+class OpinionVector:
+    """One binary opinion per topic: the common shape of proposals and voters."""
 
     mask: int
     t: int
+    _noun = "opinion"  # names the vector in its error messages
 
     def __post_init__(self):
         _check_topics(self.t)
         if not 0 <= self.mask < 1 << self.t:
-            raise ParameterError("proposal mask has bits outside the topic range")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Proposal":
-        mask, t = parse_opinions(text)
-        return cls(mask, t)
-
-    def to_string(self) -> str:
-        return opinions_to_string(self.mask, self.t)
+            raise ParameterError(f"{self._noun} mask has bits outside the topic range")
 
     @property
     def ones_count(self) -> int:
         return self.mask.bit_count()
+
+    def to_string(self) -> str:
+        return opinions_to_string(self.mask, self.t)
+
+
+@dataclass(frozen=True)
+class Proposal(OpinionVector):
+    """A candidate compromise.
+
+    A proposal with exactly ``k`` Ys is called a k-proposal.
+    """
+
+    _noun = "proposal"
+
+    @classmethod
+    def from_string(cls, text: str) -> "Proposal":
+        return cls(*parse_opinions(text))
 
     def opposite(self) -> "Proposal":
         return Proposal(self.mask ^ ((1 << self.t) - 1), self.t)
 
 
 @dataclass(frozen=True)
-class VoterRow:
+class VoterRow(OpinionVector):
     """A voter opinion vector with a positive multiplicity.
 
     A row with exactly ``l`` Ys is called an l-voter. Weights are integers for
@@ -91,14 +98,11 @@ class VoterRow:
     with fractional voter masses can be represented directly.
     """
 
-    mask: int
-    t: int
     weight: Weight = 1
+    _noun = "voter"
 
     def __post_init__(self):
-        _check_topics(self.t)
-        if not 0 <= self.mask < 1 << self.t:
-            raise ParameterError("voter mask has bits outside the topic range")
+        OpinionVector.__post_init__(self)  # direct: the super() lookup slows every row
         if isinstance(self.weight, int):
             if self.weight < 1:
                 raise ParameterError("integer row weight must be >= 1")
@@ -107,13 +111,6 @@ class VoterRow:
                 raise ParameterError("row weight must be positive")
         else:
             raise ParameterError("row weight must be an int or Fraction")
-
-    @property
-    def ones_count(self) -> int:
-        return self.mask.bit_count()
-
-    def to_string(self) -> str:
-        return opinions_to_string(self.mask, self.t)
 
 
 @dataclass(frozen=True)
@@ -149,16 +146,8 @@ class VoterMatrix:
             weights = [1] * len(opinions)
         if len(weights) != len(opinions):
             raise ParameterError("weights and opinion rows differ in length")
-        if not opinions:
-            raise ParameterError("voter matrix needs at least one row")
-        rows = []
-        t = len(opinions[0])
-        for text, w in zip(opinions, weights):
-            mask, row_t = parse_opinions(text)
-            if row_t != t:
-                raise ParameterError("rows have inconsistent lengths")
-            rows.append(VoterRow(mask, row_t, w))
-        return cls(t, tuple(rows))
+        rows = tuple(VoterRow(*parse_opinions(text), w) for text, w in zip(opinions, weights))
+        return cls(rows[0].t if rows else 1, rows)  # the matrix checks the shape
 
     def has_integer_weights(self) -> bool:
         return all(isinstance(r.weight, int) for r in self.rows)

@@ -13,9 +13,10 @@ the closed optimum equals the supremum of the open region, and matrices
 arbitrarily close to it exist (supremum semantics).
 
 The constraint data of every w is a suffix of one integer table per t, the
-rows (s_kl(t, k, l))_l over C(t, k) = s_kl(t, k, t) for k = ceil((t+1)/2)..t.
-Each row comes from the recurrence of :func:`.combinatorics.s_kl_row` in O(t)
-big-integer steps, and a call builds the table once.
+rows (s_kl(t, k, l))_l for k = ceil((t+1)/2)..t; a row's last entry
+s_kl(t, k, t) = C(t, k) is its right-hand side. Each row comes from the
+recurrence of :func:`.combinatorics.s_kl_row` in O(t) big-integer steps, and
+a call builds the table once.
 
 Working set. The optimal bases are tiny (for most w the support is
 {a, a+1, t} with two tight rows), so each w is solved on a restricted LP:
@@ -126,9 +127,9 @@ def ma_linear_lower(t: int, w: int) -> Fraction:
     return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
 
 
-def _integer_rows(t: int, w: int) -> list[tuple[int, list[int]]]:
-    """(C(t, k), [s_kl(t, k, l) for l = 0..t]) for k = w..t."""
-    return [(binomial(t, k), s_kl_row(t, k)) for k in range(w, t + 1)]
+def _integer_rows(t: int, w: int) -> list[list[int]]:
+    """[s_kl(t, k, l) for l = 0..t] for k = w..t; entry t of row k is C(t, k)."""
+    return [s_kl_row(t, k) for k in range(w, t + 1)]
 
 
 class _Tableau:
@@ -343,7 +344,7 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     row_ks = sorted({k for k in ks if w <= k <= t})
     col_ls = sorted({l for l in ls if 0 <= l <= t})
     seed_rows = [
-        ([2 * rows[k - w][1][l] for l in col_ls], rows[k - w][0], 2 * rows[k - w][0])
+        ([2 * rows[k - w][l] for l in col_ls], rows[k - w][t], 2 * rows[k - w][t])
         for k in row_ks
     ]
     tableau = _Tableau(col_ls, seed_rows + [([1] * len(col_ls), 1, 1)])
@@ -363,12 +364,12 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
         if cut is not None:
             a = [0] * (len(tableau.obj) - 1)
             for l, j in column.items():
-                a[j] = 2 * rows[cut - w][1][l]
-            tableau.add_row(a, rows[cut - w][0], 2 * rows[cut - w][0])
+                a[j] = 2 * rows[cut - w][l]
+            tableau.add_row(a, rows[cut - w][t], 2 * rows[cut - w][t])
             row_ks.append(cut)
             tableau.dual()
         if price is not None:
-            entries = [1 if k is None else 2 * rows[k - w][1][price] for k in row_ks]
+            entries = [1 if k is None else 2 * rows[k - w][price] for k in row_ks]
             tableau.add_column(price, entries)
             column[price] = len(tableau.obj) - 2
             tableau.primal()
@@ -386,7 +387,8 @@ def _primal_check(w: int, rows, x):
     p = [(l, v.numerator * (den // v.denominator)) for l, v in x.items() if v]
     cut, cut_excess, cut_c = None, 0, 1
     active = []
-    for k, (c, row) in enumerate(rows, w):
+    for k, row in enumerate(rows, w):
+        c = row[-1]  # C(t, k) = s_kl(t, k, t)
         excess = 2 * sum(row[l] * n for l, n in p) - c * den
         if excess == 0:
             active.append(k)
@@ -408,7 +410,7 @@ def _reduced_costs(t: int, w: int, rows, duals, den: int) -> list[int]:
             reduced = [r - y for r in reduced]
         else:
             u = 2 * y
-            reduced = [r - u * s for r, s in zip(reduced, rows[k - w][1])]
+            reduced = [r - u * s for r, s in zip(reduced, rows[k - w])]
     return reduced
 
 

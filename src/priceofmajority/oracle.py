@@ -86,7 +86,7 @@ def _integer(matrix: VoterMatrix):
     results come back in the matrix's own number type; sums are held in dtype.
     """
     scaled, scale = scale_to_integer_weights(matrix)
-    unit = 1 if matrix.has_integer_weights() else Fraction(1, scale)
+    unit = 1 if scaled is matrix else Fraction(1, scale)  # an integer matrix comes back as is
     dtype = np.int64 if scaled.n * scaled.t < 2**62 else object  # n*t bounds every sum
     return scaled, unit, dtype
 
@@ -212,9 +212,9 @@ def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
     return best[0], -best[2], best[3]
 
 
-def r_V(matrix: VoterMatrix, max_topics: int | None = None) -> Fraction:
+def r_V(matrix: VoterMatrix) -> Fraction:
     """Best relative representativeness of a majority-supported proposal."""
-    best = best_representation(matrix, max_topics).best_proposal
+    best = best_representation(matrix).best_proposal
     return relative_representativeness(matrix, best)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from priceofmajority import (
     Proposal,
+    VoterMatrix,
     bounds,
     cli,
     combinatorics,
@@ -123,14 +124,19 @@ class TestAnalyze:
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        # a bad opinion character, and bytes that are not UTF-8 text
-        for content in (b"YNQ\n", b"\xff\xfe\n"):
+        # a bad opinion character, and bytes that are not UTF-8 text, named by file and line
+        for content, names in (
+            (b"YNQ\n", ["line 1"]),
+            (b"\xff\xfe\n", ["line 1", str(path)]),
+            (b"YY\nN\xff\n", ["line 2", str(path)]),
+        ):
             path.write_bytes(content)
             code, text = run(["analyze", str(path)])
             assert code == 2
             assert text == ""
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert all(name in err for name in names), err
 
     def test_resource_cap_exit_code(self, tmp_path, intro_file, capsys):
         path = tmp_path / "wide.txt"
@@ -320,6 +326,13 @@ class TestMa:
         assert code == 3
         assert text == ""
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_no_figure2_columns_below_three_topics(self, t):
+        code, text = run(["ma", "--t", str(t)])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1:] == [[str(t), "1/2", "0.5000", "0.5000", "", ""]]
+
     def test_csv_file_output(self, tmp_path):
         path = tmp_path / "ma.csv"
         code, text = run(["ma", "--t", "5", "--csv", str(path)])
@@ -413,6 +426,15 @@ class TestVerify:
         code, text = run(["verify", "--suite", "skl"])
         assert code == 1
         assert text == "skl: FAIL (384/385 checks)\n  s_kl mismatch at t=7, k=5, l=3\n"
+
+    def test_failure_prints_the_first_counterexample(self, monkeypatch):
+        def failing(rng, samples):
+            yield False, "made to fail", VoterMatrix.from_strings(["YN", "NY"], [2, 1])
+
+        monkeypatch.setattr(verify, "SUITES", {"failing": failing})
+        code, text = run(["verify", "--suite", "failing"])
+        assert code == 1
+        assert text == "failing: FAIL (0/1 checks)\n  made to fail\n# counterexample\n2x YN\nNY\n"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_rejected(self, samples):

@@ -221,6 +221,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             VoterMatrix.from_strings(["YN", "YNN"])
 
+    def test_ragged_rows_reported_by_the_matrix(self):
+        with pytest.raises(ParameterError, match="^row has 3 topics but the matrix has 2$"):
+            VoterMatrix.from_strings(["YN", "YNN"])
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 3])
+    def test_mask_outside_the_topic_range(self, mask):
+        with pytest.raises(ParameterError, match="^proposal mask has bits outside"):
+            Proposal(mask, 3)
+        with pytest.raises(ParameterError, match="^voter mask has bits outside"):
+            VoterRow(mask, 3)
+
     def test_zero_weight(self):
         with pytest.raises(ParameterError):
             VoterRow(0, 2, 0)

@@ -142,7 +142,7 @@ class TestIntegerSimplex:
 
 def _full_simplex_ma(t, w):
     """ma_t(w) from the full-tableau simplex on every row of lpsolve._integer_rows."""
-    rows = [([2 * s for s in row], c, 2 * c) for c, row in lpsolve._integer_rows(t, w)]
+    rows = [([2 * s for s in row], row[t], 2 * row[t]) for row in lpsolve._integer_rows(t, w)]
     rows.append(([1] * (t + 1), 1, 1))
     _, value, _ = lpsolve._simplex(list(range(t + 1)), rows)
     return value / t
@@ -235,7 +235,7 @@ class TestWorkingSet:
     def test_half_certificate_checks_the_identity(self):
         t = 9
         rows = lpsolve._integer_rows(t, min_k(t))
-        rows[2][1][4] += 1
+        rows[2][4] += 1
         with pytest.raises(AssertionError):
             lpsolve._working_set_solve(t, min_k(t), rows, (), (t,))
 
