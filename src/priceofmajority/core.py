@@ -284,9 +284,14 @@ def relative_representativeness(matrix: VoterMatrix, proposal: Proposal) -> Frac
 
     Both are over the n*t opinions, so this is matches / sum_i y_i. Requires
     canonical input so that m_V is the average majority; equals 1 exactly
-    for the all-Y proposal.
+    for the all-Y proposal. Raises ParameterError when no column holds a Y.
     """
-    return Fraction(matches(matrix, proposal)) / sum(column_tally(matrix).y_weights)
+    y_sum = sum(column_tally(matrix).y_weights)
+    if y_sum == 0:
+        raise ParameterError(
+            "relative representativeness requires canonical input; no column holds a Y"
+        )
+    return Fraction(matches(matrix, proposal)) / y_sum
 
 
 def majority_decisions(proposal: Proposal) -> int:

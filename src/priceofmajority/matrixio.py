@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from .core import ParameterError, VoterMatrix, VoterRow, parse_opinions
 
@@ -73,8 +72,8 @@ def scale_to_integer_weights(matrix: VoterMatrix) -> tuple[VoterMatrix, int]:
     """Smallest integer multiple making all row weights integral."""
     if matrix.has_integer_weights():
         return matrix, 1
-    scale = math.lcm(*(Fraction(row.weight).denominator for row in matrix.rows))
-    rows = tuple(
-        VoterRow(r.mask, r.t, int(Fraction(r.weight) * scale)) for r in matrix.rows
-    )
+    weights = {r.weight for r in matrix.rows}  # a witness has a few weights over many rows
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = {w: int(w * scale) for w in weights}
+    rows = tuple(VoterRow(r.mask, r.t, scaled[r.weight]) for r in matrix.rows)
     return VoterMatrix(matrix.t, rows), scale

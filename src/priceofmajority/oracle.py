@@ -14,8 +14,9 @@ majority support, and ``best_representation`` returns the column-majority
 proposal when it has majority support.
 
 Rational weights are scaled to integers by their common denominator and
-results are mapped back to the matrix's units; sums are int64 while the
-scaled n*t < 2^62 and Python ints (``dtype=object``) beyond, on the same code.
+results are mapped back to the matrix's units, once per distinct value; sums
+are int64 while the scaled n*t < 2^62 and Python ints (``dtype=object``)
+beyond, on the same code.
 Of any proposal and its opposite at least one has majority support (their
 supporter weights sum to at least n), so every maximum here is over a nonempty set.
 """
@@ -68,15 +69,25 @@ def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
     Intended for small t (hard limit 20); the level search below should be
-    used for anything larger. Values are in the matrix's own weight units.
+    used for anything larger. Values are in the matrix's own weight units:
+    ints for an integer matrix as they are, otherwise each distinct integer
+    sum is converted to a Fraction once and shared by its masks.
     """
     if matrix.t > 20:
         raise ResourceLimitError("proposal_stats materializes 2^t values; t > 20")
     scaled, unit, dtype = _integer(matrix)
     masks = np.arange(1 << matrix.t, dtype=np.int64)
-    supp = _scan(scaled.rows, matrix.t, masks, dtype)
-    match = _matcher(column_tally(scaled).y_weights, scaled.n, dtype)(masks)
-    return [x * unit for x in supp.tolist()], [x * unit for x in match.tolist()]
+    supp = _scan(scaled.rows, matrix.t, masks, dtype).tolist()
+    match = _matcher(column_tally(scaled).y_weights, scaled.n, dtype)(masks).tolist()
+    if scaled is matrix:  # integer weights: the sums are in the matrix's units already
+        return supp, match
+    return _in_units(supp, unit), _in_units(match, unit)
+
+
+def _in_units(values: list, unit: Fraction) -> list:
+    """``values`` times ``unit``, one multiplication per distinct value."""
+    converted = {x: x * unit for x in set(values)}
+    return [converted[x] for x in values]
 
 
 def _integer(matrix: VoterMatrix):
@@ -213,7 +224,11 @@ def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
 
 
 def r_V(matrix: VoterMatrix) -> Fraction:
-    """Best relative representativeness of a majority-supported proposal."""
+    """Best relative representativeness of a majority-supported proposal.
+
+    Requires canonical input (see ``core.canonicalize``), as r divides by the
+    Y-weights; raises ParameterError when no column holds a Y.
+    """
     best = best_representation(matrix).best_proposal
     return relative_representativeness(matrix, best)
 

@@ -141,6 +141,11 @@ class TestRepresentativeness:
             matrix, Proposal.from_string("YYN")
         ) == Fraction(8, 9)
 
+    def test_relative_needs_a_y_to_divide_by(self):
+        matrix = VoterMatrix.from_strings(["NN", "NN"])
+        with pytest.raises(ParameterError, match="canonical"):
+            relative_representativeness(matrix, Proposal.from_string("YN"))
+
     def test_quarter_floor_for_supported_proposals(self):
         rng = random.Random(7)
         for _ in range(300):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,3 +91,24 @@ class TestScaling:
         scaled, scale = scale_to_integer_weights(matrix)
         assert scale == 12
         assert [r.weight for r in scaled.rows] == [3, 2]
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [Fraction(1, 3)] * 5 + [Fraction(1, 6)] * 4,  # repeated weights
+            [2, Fraction(3, 4), 2, Fraction(5, 6), 1, Fraction(3, 4)],  # mixed
+            [Fraction(3, 1), Fraction(5, 1), Fraction(3, 1)],  # denominator one
+            [3, Fraction(3, 1), Fraction(7, 2), 3],  # an int equal to a Fraction
+        ],
+    )
+    def test_each_row_scaled_by_the_lcm(self, weights):
+        t = 3
+        matrix = VoterMatrix(
+            t, tuple(VoterRow(i % (1 << t), t, w) for i, w in enumerate(weights))
+        )
+        scaled, scale = scale_to_integer_weights(matrix)
+        assert scale == math.lcm(*(Fraction(w).denominator for w in weights))
+        assert [r.weight for r in scaled.rows] == [int(Fraction(w) * scale) for w in weights]
+        assert all(type(r.weight) is int for r in scaled.rows)
+        assert [r.mask for r in scaled.rows] == [r.mask for r in matrix.rows]
+        assert scaled is not matrix and scaled.has_integer_weights()

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from priceofmajority import (
+    ParameterError,
     Proposal,
     ResourceLimitError,
     VoterMatrix,
@@ -23,8 +24,10 @@ from priceofmajority import (
     r_V,
     relative_representativeness,
     rule_of_three_fourths_check,
+    solve_ma,
     theorem2_matrix,
     theorem3_matrix,
+    vlp_matrix,
 )
 from priceofmajority import oracle
 from priceofmajority.core import (
@@ -285,6 +288,44 @@ class TestProposalStats:
             for p in range(1 << matrix.t):
                 assert supp[p] + supp[full - p] >= matrix.n
 
+    def test_agrees_with_core_on_vlp_witnesses(self):
+        for t in range(1, 9):
+            for w in range((t + 2) // 2, t + 1):
+                _agrees_with_core(vlp_matrix(t, w, solve_ma(t, w).profile))
+
+    @pytest.mark.parametrize("kind", ["mixed", "denominator one"])
+    def test_agrees_with_core_on_rational_weights(self, kind):
+        rng = random.Random(17)
+        for i in range(60):
+            t = rng.randint(1, 7)
+            weights = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+            if kind == "mixed":  # ints beside Fractions, some of them equal to an int
+                weights = [w if rng.random() < 0.5 else Fraction(w, rng.choice((1, 2, 3, 6)))
+                           for w in weights]
+            else:
+                weights = [Fraction(w, 1) for w in weights]
+            matrix = VoterMatrix(t, tuple(VoterRow(rng.randrange(1 << t), t, w) for w in weights))
+            if i % 2:
+                matrix = canonicalize(matrix)[0]
+            _agrees_with_core(matrix)
+
+
+def _agrees_with_core(matrix):
+    """proposal_stats against core's supporter_weight and matches on every mask.
+
+    The values are in the matrix's number type: ints when every weight is an
+    int, Fractions otherwise, also where core's own sum is an int (no
+    supporter, or only int weights added up).
+    """
+    kind = int if matrix.has_integer_weights() else Fraction
+    supp, match = proposal_stats(matrix)
+    assert len(supp) == len(match) == 1 << matrix.t
+    for p in range(1 << matrix.t):
+        proposal = Proposal(p, matrix.t)
+        assert supp[p] == supporter_weight(matrix, proposal)
+        assert match[p] == matches(matrix, proposal)
+        assert type(supp[p]) is type(match[p]) is kind
+
 
 class TestHalfProposal:
     def test_unanimous_four_topics(self):
@@ -385,6 +426,12 @@ class TestRelativeFloor:
             assert r >= Fraction(2, 3) - Fraction(4, 3 * t)
             best = best_representation(matrix).best_proposal
             assert r == relative_representativeness(matrix, best)
+
+    def test_r_v_requires_canonical_input(self):
+        # no column holds a Y, so there is no Y-weight to divide by
+        for opinions in (["NN"], ["N", "N"], ["NNN", "NNN"]):
+            with pytest.raises(ParameterError, match="canonical"):
+                r_V(VoterMatrix.from_strings(opinions))
 
 
 def _level_walk(matrix):
