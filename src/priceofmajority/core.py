@@ -252,11 +252,13 @@ def supporter_weight(matrix: VoterMatrix, proposal: Proposal) -> Weight:
     if matrix.t != proposal.t:
         raise ParameterError("matrix and proposal topic counts differ")
     threshold = support_threshold(matrix.t)
-    return sum(
+    supporters = (
         row.weight
         for row in matrix.rows
         if agreements(row.mask, proposal.mask, matrix.t) >= threshold
     )
+    # starting at 0 * n keeps the matrix's number type with no or only int supporters
+    return sum(supporters, 0 * matrix.n)
 
 
 def has_majority_support(matrix: VoterMatrix, proposal: Proposal) -> bool:

@@ -7,11 +7,17 @@ A level's masks are joined from popcount-grouped tables of the low and high
 halves of the bits, in blocks of at most ``_CHUNK`` (never 2^t at once), and
 their supporter weights come from a vectorized XOR + popcount scan. Match
 counts add up over the topics and are read from two half tables of the
-column tally. ``md_of`` stops at the first level with a supported proposal,
-``best_representation`` once no lower level can beat the best found. No scan
-runs when an O(rows*t) check gives the answer: ``md_of`` is t when all-Y has
-majority support, and ``best_representation`` returns the column-majority
-proposal when it has majority support.
+column tally. Level k's ceiling holds the k topics with the largest gains
+2*y_i - n, ties to the lower index: it has the level's most matches and the
+smallest mask among the masks tied with it. A ceiling with majority support
+decides its level without a scan. ``md_of`` returns the first level, from
+t - 1 down, whose ceiling or scan shows a supported proposal;
+``best_representation`` takes a supported ceiling as its level's winner and
+skips a level whose ceiling has no more matches than the best found, as a tie
+goes to the higher level. Only the levels left are scanned. Before any level
+table is built, an O(rows*t) check may give the answer: ``md_of`` is t when
+all-Y has majority support, and ``best_representation`` returns the
+column-majority proposal when it has majority support.
 
 Rational weights are scaled to integers by their common denominator and
 results are mapped back to the matrix's units, once per distinct value; sums
@@ -155,19 +161,37 @@ def _levels(matrix: VoterMatrix, dtype, top: int):
             yield k, ((m, _scan(near, t, m, dtype)) for m in _level(k, low, high))
 
 
+def _ceilings(ys, n) -> tuple[list[int], list]:
+    """(ceiling masks, most matches) of each level k = 0..t.
+
+    The ceiling of level k holds the k topics with the largest gains 2*y_i - n,
+    ties to the lower topic index: of the k-Y proposals it has the most
+    matches, sum(n - y_i) plus those k gains, and the smallest mask among them.
+    """
+    order = sorted(range(len(ys)), key=lambda i: -ys[i])  # stable: ties keep index order
+    ceiling = list(accumulate((1 << i for i in order), initial=0))  # distinct bits add
+    most = list(accumulate((2 * ys[i] - n for i in order), initial=sum(n - y for y in ys)))
+    return ceiling, most
+
+
 def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
     """Maximum Y-count over all majority-supported proposals.
 
     Returns t without scanning when the all-Y proposal has majority support;
-    otherwise the first level, from t - 1 down, with a supported proposal.
+    otherwise the first level, from t - 1 down, with a supported proposal. A
+    level whose ceiling (see ``_ceilings``) has majority support is returned
+    without a scan.
     """
     _check_cap(matrix, max_topics)
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
     scaled, _, dtype = _integer(matrix)
+    ceiling, _ = _ceilings(column_tally(scaled).y_weights, scaled.n)
     for k, blocks in _levels(scaled, dtype, t - 1):
-        if any(2 * supp.max() >= scaled.n for _, supp in blocks):
+        if has_majority_support(scaled, Proposal(ceiling[k], t)) or any(
+            2 * supp.max() >= scaled.n for _, supp in blocks
+        ):
             return k
     raise AssertionError("no majority-supported proposal; pair-support violated")
 
@@ -182,7 +206,10 @@ def best_representation(
 
     The column-majority proposal (Y exactly where 2*y_i >= n) maximizes the
     match count and, among the proposals tied with it, has the most Ys; when
-    it has majority support it is the answer and no scan runs.
+    it has majority support it is the answer and no scan runs. Otherwise the
+    levels are visited from t Ys down: a level whose ceiling (see
+    ``_ceilings``) has no more matches than the best found is skipped, one
+    whose ceiling has majority support is won by it, and the rest are scanned.
     """
     _check_cap(matrix, max_topics)
     scaled, unit, dtype = _integer(matrix)
@@ -204,15 +231,16 @@ def best_representation(
 def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
     n = matrix.n
-    # cap[k]: the most matches with at most k Ys, sum(n - y_i) plus the k largest
-    # gains max(2*y_i - n, 0); the search stops there, as a lower level loses ties
-    gains = sorted((max(2 * y - n, 0) for y in ys), reverse=True)
-    cap = list(accumulate(gains, initial=sum(n - y for y in ys)))
+    ceiling, most = _ceilings(ys, n)
     match_of = _matcher(ys, n, dtype)
     best = (-1,)  # (matches, ones, -mask, supporter weight), maximized; masks are distinct
     for k, blocks in _levels(matrix, dtype, matrix.t):
-        if cap[k] <= best[0]:
-            break
+        if most[k] <= best[0]:  # no mask here beats the best; a tie loses to its higher level
+            continue
+        supp = supporter_weight(matrix, Proposal(ceiling[k], matrix.t))
+        if 2 * supp >= n:  # the ceiling wins its level: most matches, smallest mask
+            best = (most[k], k, -ceiling[k], supp)
+            continue
         for masks, supp in blocks:
             match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
             top = np.flatnonzero(match == match.max())

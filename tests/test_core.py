@@ -92,6 +92,25 @@ class TestMajoritySupport:
         matrix = VoterMatrix.from_strings(["YNYNY"])
         assert has_majority_support(matrix, Proposal(matrix.rows[0].mask, 5))
 
+    def test_supporter_weight_in_the_matrix_number_type(self):
+        # a Fraction among the weights makes every sum a Fraction, also with no
+        # supporter or with int-weight supporters only
+        fractions = VoterMatrix.from_strings(["YYY"], weights=[Fraction(1, 2)])
+        mixed = VoterMatrix.from_strings(["YYY", "NNN"], weights=[2, Fraction(1, 3)])
+        ints = VoterMatrix.from_strings(["YYY", "NNN"], weights=[2, 1])
+        cases = (
+            (fractions, "NNN", Fraction(0)),
+            (fractions, "YYY", Fraction(1, 2)),
+            (mixed, "YYY", Fraction(2)),
+            (mixed, "NNN", Fraction(1, 3)),
+            (ints, "YYN", 2),
+            (ints, "NNY", 1),
+        )
+        for matrix, text, expected in cases:
+            weight = supporter_weight(matrix, Proposal.from_string(text))
+            assert weight == expected
+            assert type(weight) is type(expected)
+
     @given(small_matrices(), st.integers(min_value=0, max_value=31))
     def test_pair_support(self, matrix, mask):
         p = Proposal(mask, 5)

@@ -202,7 +202,8 @@ def oracle_matrices():
     each as drawn or with columns flipped.
 
     The worst cases (theorem2, lemma1, theorem3) leave the column-majority
-    proposal without majority support, so they reach the full scan.
+    proposal without majority support, so they reach the level search, where
+    each is decided by a level's ceiling without a scan.
     """
     rows = st.lists(
         st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=5)),
@@ -234,45 +235,51 @@ def _flipped(drawn):
 
 
 class TestAgainstBruteForce:
-    """Short-cuts and the scan both equal a brute force built from core."""
+    """Short-cuts, ceilings and the scan all equal a brute force built from core."""
 
     @given(oracle_matrices())
     @settings(max_examples=300, deadline=None)
     def test_md_and_best_representation(self, matrix):
-        t, n = matrix.t, matrix.n
         md, witness, value, supp = brute_force(matrix)
-        all_y = Proposal((1 << t) - 1, t)
-        ys = column_tally(matrix).y_weights
-        majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             assert md_of(matrix) == md
-        # the md scan runs exactly when all-Y lacks majority support
-        assert scan.called != has_majority_support(matrix, all_y)
-        event("md short-cut" if not scan.called else "md scan")
+        # the md scan runs exactly when the restated walk leaves a level to scan
+        assert scan.called == bool(_md_walk(matrix))
+        event("md scan" if scan.called else "md no scan")
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             result = best_representation(matrix)
         assert result.best_proposal == witness
         assert result.value == value
         assert result.supporter_weight == supp
-        # the column-majority short-cut is taken exactly when it is supported
-        assert scan.called != has_majority_support(matrix, majority)
-        event("best short-cut" if not scan.called else "best scan")
+        # no scan when the column-majority short-cut or the ceilings decide
+        assert scan.called == (not _majority_supported(matrix) and bool(_level_walk(matrix)[0]))
+        event("best scan" if scan.called else "best no scan")
 
     def test_both_paths_are_exercised(self):
-        # md: all-Y decides; best_representation: the column-majority proposal decides
-        cases = (
-            (theorem2_matrix(4), True, True),
-            (lemma1_matrix(6), True, True),
-            (VoterMatrix.from_strings(["YNYY", "YNYY", "NYNN"]), False, False),
-            (VoterMatrix.from_strings(["NNY", "NNY", "YYN"]), True, False),
+        # each call ends in a short-cut (all-Y for md, the column-majority proposal
+        # for best_representation: no level table built), at a ceiling (tables built,
+        # no scan) or in a scan
+        # in the last matrix the level-4 ceiling YYNYY has supporter weight 3 of
+        # n = 7, while another 4-Y proposal has 4
+        scans = VoterMatrix.from_strings(
+            ["YYYYY", "NYNNY", "YNYNN", "NNNYN"], weights=[1, 2, 1, 3]
         )
-        for matrix, md_scans, best_scans in cases:
-            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                md = md_of(matrix)
-            assert scan.called == md_scans
-            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                result = best_representation(matrix)
-            assert scan.called == best_scans
+        cases = (
+            (theorem2_matrix(4), "ceiling", "ceiling"),
+            (lemma1_matrix(6), "ceiling", "ceiling"),
+            (VoterMatrix.from_strings(["YNYY", "YNYY", "NYNN"]), "short-cut", "short-cut"),
+            (VoterMatrix.from_strings(["NNY", "NNY", "YYN"]), "ceiling", "short-cut"),
+            (scans, "scan", "scan"),
+        )
+        for matrix, md_path, best_path in cases:
+            results = []
+            for fn, path in ((md_of, md_path), (best_representation, best_path)):
+                with mock.patch.object(oracle, "_levels", wraps=oracle._levels) as levels:
+                    with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                        results.append(fn(matrix))
+                taken = "scan" if scan.called else "ceiling" if levels.called else "short-cut"
+                assert taken == path
+            md, result = results
             assert (md, result.best_proposal, result.value, result.supporter_weight) == (
                 brute_force(matrix)
             )
@@ -311,20 +318,18 @@ class TestProposalStats:
 
 
 def _agrees_with_core(matrix):
-    """proposal_stats against core's supporter_weight and matches on every mask.
-
-    The values are in the matrix's number type: ints when every weight is an
-    int, Fractions otherwise, also where core's own sum is an int (no
-    supporter, or only int weights added up).
-    """
+    """proposal_stats against core's supporter_weight and matches on every mask,
+    in value and in number type: ints when every weight is an int, Fractions
+    otherwise."""
     kind = int if matrix.has_integer_weights() else Fraction
     supp, match = proposal_stats(matrix)
     assert len(supp) == len(match) == 1 << matrix.t
     for p in range(1 << matrix.t):
         proposal = Proposal(p, matrix.t)
-        assert supp[p] == supporter_weight(matrix, proposal)
-        assert match[p] == matches(matrix, proposal)
-        assert type(supp[p]) is type(match[p]) is kind
+        core_supp, core_match = supporter_weight(matrix, proposal), matches(matrix, proposal)
+        assert (supp[p], match[p]) == (core_supp, core_match)
+        assert type(supp[p]) is type(core_supp) and type(match[p]) is type(core_match)
+        assert type(core_supp) is type(core_match) is kind
 
 
 class TestHalfProposal:
@@ -434,28 +439,68 @@ class TestRelativeFloor:
                 r_V(VoterMatrix.from_strings(opinions))
 
 
+def _majority_supported(matrix):
+    """Whether the column-majority proposal (Y where 2*y_i >= n) has majority support."""
+    ys = column_tally(matrix).y_weights
+    mask = sum(1 << i for i, y in enumerate(ys) if 2 * y >= matrix.n)
+    return has_majority_support(matrix, Proposal(mask, matrix.t))
+
+
+def _ceiling(matrix, k):
+    """(mask, matches) of level k's ceiling, restated from core: of the masks
+    with k Ys that have the most matches, the smallest."""
+    t = matrix.t
+    level = [p for p in range(1 << t) if p.bit_count() == k]
+    most = max(matches(matrix, Proposal(p, t)) for p in level)
+    return min(p for p in level if matches(matrix, Proposal(p, t)) == most), most
+
+
 def _level_walk(matrix):
-    """(levels scanned, levels skipped, how it ended) of the best_representation
-    level search, restated from core: a level is skipped when the voters within
-    t - |k - l| >= threshold of it weigh under n/2, and the search stops before
-    level k when sum(n - y_i) plus the k largest positive gains 2*y_i - n is no
-    more than the best match count found."""
+    """(levels scanned, levels decided by their ceiling, levels skipped, how it
+    ended) of the best_representation level search, restated from core.
+
+    From k = t down: a level is skipped when the voters within t - |k - l| >=
+    threshold of it weigh under n/2, or when its ceiling has no more matches
+    than the best found; its ceiling decides it when that has majority support;
+    any other level is scanned. The walk stops before level k once sum(n - y_i)
+    plus the k largest positive gains 2*y_i - n, the most matches of any
+    proposal with at most k Ys, is no more than the best found: the oracle
+    skips each of those levels by its ceiling, which scans the same levels."""
     t, n = matrix.t, matrix.n
     ys = sorted(column_tally(matrix).y_weights, key=lambda y: -y)
-    best, scanned, skipped = None, [], []
+    best, scanned, ceilings, skipped = None, [], [], []
     for k in range(t, -1, -1):
         cap = sum(n - y for y in ys) + sum(max(2 * y - n, 0) for y in ys[:k])
         if best is not None and cap <= best:
-            return scanned, skipped, "score stop"
-        if 2 * _reach(matrix, k) < n:
+            return scanned, ceilings, skipped, "score stop"
+        mask, most = _ceiling(matrix, k)
+        if 2 * _reach(matrix, k) < n or (best is not None and most <= best):
             skipped.append(k)
-            continue
-        scanned.append(k)
-        for p in range(1 << t):
-            proposal = Proposal(p, t)
-            if p.bit_count() == k and has_majority_support(matrix, proposal):
-                best = max(best or 0, matches(matrix, proposal))
-    return scanned, skipped, "full sweep"
+        elif has_majority_support(matrix, Proposal(mask, t)):
+            ceilings.append(k)
+            best = most
+        else:
+            scanned.append(k)
+            for p in range(1 << t):
+                proposal = Proposal(p, t)
+                if p.bit_count() == k and has_majority_support(matrix, proposal):
+                    best = max(best or 0, matches(matrix, proposal))
+    return scanned, ceilings, skipped, "full sweep"
+
+
+def _md_walk(matrix):
+    """Levels md_of scans, restated from core: none when all-Y has majority
+    support; otherwise each level from t - 1 down to md whose possible
+    supporters weigh at least n/2, except md itself when its ceiling has
+    majority support."""
+    t, n = matrix.t, matrix.n
+    md = brute_force(matrix)[0]
+    if md == t:
+        return []
+    levels = [k for k in range(t - 1, md, -1) if 2 * _reach(matrix, k) >= n]
+    if not has_majority_support(matrix, Proposal(_ceiling(matrix, md)[0], t)):
+        levels.append(md)
+    return levels
 
 
 def _reach(matrix, k):
@@ -472,53 +517,54 @@ def _scanned(scan):
 
 
 class TestLevelSearch:
-    """The level search examines only the levels the two bounds leave."""
+    """The level search examines only the levels the bounds and ceilings leave."""
 
     @given(oracle_matrices())
     @settings(max_examples=200, deadline=None)
     def test_levels_scanned_follow_the_bounds(self, matrix):
-        t, n = matrix.t, matrix.n
-        ys = column_tally(matrix).y_weights
-        majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
+        t = matrix.t
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             result = best_representation(matrix)
-        if has_majority_support(matrix, majority):
+        if _majority_supported(matrix):
             assert not scan.called
             return
-        scanned, skipped, how = _level_walk(matrix)
+        scanned, ceilings, skipped, how = _level_walk(matrix)
         levels, count = _scanned(scan)
         assert levels == set(scanned)
         assert count == sum(comb(t, k) for k in scanned)
         event(how)
         if skipped:
             event("level skipped")
+        if ceilings:
+            event("ceiling decides a level")
         assert has_majority_support(matrix, result.best_proposal)
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            md = md_of(matrix)
-        if scan.called:
-            assert _scanned(scan)[0] == {k for k in range(md, t) if 2 * _reach(matrix, k) >= n}
+            md_of(matrix)
+        # every level is one block at the default chunk, so md_of scans it whole
+        md_levels = _md_walk(matrix)
+        assert _scanned(scan) == (set(md_levels), sum(comb(t, k) for k in md_levels))
 
-    @pytest.mark.parametrize("t", range(8, 15))
+    @pytest.mark.parametrize("t", range(8, 21))
     def test_worst_cases_scan_one_level(self, t):
-        # md and best both sit on one level, C(t, ceil((t+1)/2)) masks at most
-        limit = comb(t, (t + 2) // 2)
+        # md and best both sit on one level, and its ceiling has majority support
         cases = [lemma1_matrix(t)] + [theorem3_matrix(t, t - 1, M) for M in range(t, 2 * t)]
         for matrix in cases:
             for fn in (md_of, best_representation):
                 with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
                     fn(matrix)
-                assert _scanned(scan)[1] <= limit
+                assert _scanned(scan)[1] == 0
         assert md_of(cases[0]) == (t + 2) // 2
 
     def test_full_sweep_without_score_stop(self):
         # column Y-weights 3, 3, 4 of n = 8: the all-N winner sits on the last
-        # level, so the score bound never cuts and levels 2, 1 and 0 are scanned
+        # level, so the score bound never cuts; the ceilings decide levels 2 and
+        # 0, and only level 1 is scanned
         matrix = VoterMatrix.from_strings(["NNY", "YYY", "YNN", "NYN"], weights=[3, 1, 2, 2])
         assert column_tally(matrix).y_weights == (3, 3, 4)
-        assert _level_walk(matrix) == ([2, 1, 0], [3], "full sweep")
+        assert _level_walk(matrix) == ([1], [2, 0], [3], "full sweep")
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             result = best_representation(matrix)
-        assert _scanned(scan) == ({0, 1, 2}, 7)
+        assert _scanned(scan) == ({1}, 3)
         md, witness, value, supp = brute_force(matrix)
         assert (result.best_proposal, result.value, result.supporter_weight) == (
             witness,
@@ -558,9 +604,20 @@ class TestLevelSearch:
 
     def test_memory_stays_below_the_full_scan(self):
         # a scan over all 2^t masks in 2^20-mask chunks peaks at about 64 MiB
-        # here; a level is built in blocks and no array holds 2^t masks
-        matrix = lemma1_matrix(22)
+        # here; a level is built in blocks and no array holds 2^t masks.
+        # lemma1(22) with the singletons of topics 20 and 21 merged into one
+        # YY voter and the all-Y block one lighter: every column tallies 21 of
+        # n = 41, so level 13's ceiling is topics 0..12, which only the block
+        # (20) supports, while a 13-Y proposal with topics 20 and 21 also has the
+        # YY voter (21); both calls scan level 13, C(22, 13) masks
+        t = 22
+        rows = [VoterRow(1 << i, t) for i in range(20)]
+        rows += [VoterRow(0b11 << 20, t), VoterRow((1 << t) - 1, t, 20)]
+        matrix = VoterMatrix(t, tuple(rows))
         for fn in (md_of, best_representation):
+            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                fn(matrix)
+            assert _scanned(scan) == ({13}, comb(22, 13))
             tracemalloc.start()
             try:
                 fn(matrix)
