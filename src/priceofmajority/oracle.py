@@ -1,23 +1,22 @@
 """Exhaustive ground truth over all 2^t proposals.
 
-Proposals are bitmasks, visited one Y-count level k at a time from k = t
-down; a level is skipped when the voters that can reach it weigh less than
-n/2 (one with l Ys agrees with a k-Y proposal on at most t - |k - l| topics).
-A level's masks are joined from popcount-grouped tables of the low and high
-halves of the bits, in blocks of at most ``_CHUNK`` (never 2^t at once), and
-their supporter weights come from a vectorized XOR + popcount scan. Match
-counts add up over the topics and are read from two half tables of the
-column tally. Level k's ceiling holds the k topics with the largest gains
-2*y_i - n, ties to the lower index: it has the level's most matches and the
-smallest mask among the masks tied with it. A ceiling with majority support
-decides its level without a scan. ``md_of`` returns the first level, from
-t - 1 down, whose ceiling or scan shows a supported proposal;
-``best_representation`` takes a supported ceiling as its level's winner and
-skips a level whose ceiling has no more matches than the best found, as a tie
-goes to the higher level. Only the levels left are scanned. Before any level
-table is built, an O(rows*t) check may give the answer: ``md_of`` is t when
-all-Y has majority support, and ``best_representation`` returns the
-column-majority proposal when it has majority support.
+Proposals are bitmasks, grouped by their Y-count k. Level k's ceiling holds
+the k topics with the largest gains 2*y_i - n, ties to the lower index: it
+has the level's most matches and the smallest mask among the masks tied with
+it, so a ceiling with majority support decides its level. A level that its
+ceiling leaves open is scanned (``_level``) unless the voters that can reach
+it weigh less than n/2 (one with l Ys agrees with a k-Y proposal on at most
+t - |k - l| topics): its masks are joined from popcount groups of the low and
+high halves of the bits, in blocks of at most ``_CHUNK`` (never 2^t at once),
+and their supporter weights come from a vectorized XOR + popcount scan. Match
+counts add up over the topics and are read from two half tables of the column
+tally. ``md_of`` returns the first level, from t - 1 down, whose ceiling or
+scan shows a supported proposal. ``best_representation`` visits the levels
+best first, by (ceiling matches, Y-count), and stops at the first level that
+cannot beat the best found, as a tie goes to the higher level. Before any of
+this, an O(rows*t) check may give the answer: ``md_of`` is t when all-Y has
+majority support, and ``best_representation`` returns the column-majority
+proposal when it has majority support.
 
 Rational weights are scaled to integers by their common denominator and
 results are mapped back to the matrix's units, once per distinct value; sums
@@ -129,36 +128,25 @@ def _matcher(ys, n: int, dtype):
     return lambda masks: tables[0][masks & ((1 << h) - 1)] + tables[1][masks >> h]
 
 
-def _level(k: int, low, high):
-    """Yield the masks with k ones in blocks of at most _CHUNK, joining each
-    high half with k - j ones (``high[k - j]``) to each low half with j."""
-    parts = []
-    for j in range(max(0, k - len(high) + 1), min(len(low), k + 1)):
-        los, his = low[j], high[k - j][:, None]
-        step = max(1, _CHUNK // los.size)
-        for b in range(0, his.size, step):
-            for a in range(0, los.size, _CHUNK):
-                part = (his[b : b + step] | los[a : a + _CHUNK]).ravel()
-                if sum(x.size for x in parts) + part.size > _CHUNK:
-                    yield np.concatenate(parts)
-                    parts = []
-                parts.append(part)
-    yield np.concatenate(parts)
-
-
-def _levels(matrix: VoterMatrix, dtype, top: int):
-    """Yield (k, blocks) for each level k = top..0 whose possible supporters
-    weigh at least n/2; ``blocks`` lazily yields (masks, supporter weights)."""
+def _level(matrix: VoterMatrix, k: int, dtype):
+    """Yield (masks, supporter weights) of level k in blocks, each a run of high
+    halves with k - j ones joined to every low half (the low h = t // 2 bits)
+    with j ones: at most ``_CHUNK`` masks while ``_CHUNK`` >= C(h, h // 2).
+    Nothing is yielded when the voters that can reach level k weigh under n/2."""
     t, h = matrix.t, matrix.t // 2
     reach = t - support_threshold(t)
+    near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= reach]
+    if 2 * sum(r.weight for r in near) < matrix.n:
+        return
     masks = np.arange(1 << (t - h), dtype=np.int64)  # t - h >= h bits
     counts = np.bitwise_count(masks)
-    low = [masks[: 1 << h][counts[: 1 << h] == j] for j in range(h + 1)]
-    high = [masks[counts == j] << h for j in range(t - h + 1)]
-    for k in range(top, -1, -1):
-        near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= reach]
-        if 2 * sum(r.weight for r in near) >= matrix.n:
-            yield k, ((m, _scan(near, t, m, dtype)) for m in _level(k, low, high))
+    for j in range(max(0, k - t + h), min(h, k) + 1):
+        los = masks[: 1 << h][counts[: 1 << h] == j]
+        his = (masks[counts == k - j] << h)[:, None]
+        step = max(1, _CHUNK // los.size)
+        for b in range(0, his.size, step):
+            block = (his[b : b + step] | los).ravel()
+            yield block, _scan(near, t, block, dtype)
 
 
 def _ceilings(ys, n) -> tuple[list[int], list]:
@@ -177,10 +165,10 @@ def _ceilings(ys, n) -> tuple[list[int], list]:
 def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
     """Maximum Y-count over all majority-supported proposals.
 
-    Returns t without scanning when the all-Y proposal has majority support;
-    otherwise the first level, from t - 1 down, with a supported proposal. A
-    level whose ceiling (see ``_ceilings``) has majority support is returned
-    without a scan.
+    Returns t without scanning when the all-Y proposal has majority support.
+    Otherwise it walks the levels from t - 1 down and returns the first whose
+    ceiling (see ``_ceilings``) has majority support or whose scan finds a
+    supported mask; a scan stops at its first block that holds one.
     """
     _check_cap(matrix, max_topics)
     t = matrix.t
@@ -188,9 +176,9 @@ def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
         return t
     scaled, _, dtype = _integer(matrix)
     ceiling, _ = _ceilings(column_tally(scaled).y_weights, scaled.n)
-    for k, blocks in _levels(scaled, dtype, t - 1):
+    for k in range(t - 1, -1, -1):
         if has_majority_support(scaled, Proposal(ceiling[k], t)) or any(
-            2 * supp.max() >= scaled.n for _, supp in blocks
+            2 * supp.max() >= scaled.n for _, supp in _level(scaled, k, dtype)
         ):
             return k
     raise AssertionError("no majority-supported proposal; pair-support violated")
@@ -207,9 +195,10 @@ def best_representation(
     The column-majority proposal (Y exactly where 2*y_i >= n) maximizes the
     match count and, among the proposals tied with it, has the most Ys; when
     it has majority support it is the answer and no scan runs. Otherwise the
-    levels are visited from t Ys down: a level whose ceiling (see
-    ``_ceilings``) has no more matches than the best found is skipped, one
-    whose ceiling has majority support is won by it, and the rest are scanned.
+    levels are visited best first, by the matches of their ceilings (see
+    ``_ceilings``) and then their Y-counts, and the walk stops at the first
+    level that cannot beat the best found; a level whose ceiling has majority
+    support is won by it, which ends the walk, and any other is scanned.
     """
     _check_cap(matrix, max_topics)
     scaled, unit, dtype = _integer(matrix)
@@ -230,18 +219,18 @@ def best_representation(
 
 def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
-    n = matrix.n
+    t, n = matrix.t, matrix.n
     ceiling, most = _ceilings(ys, n)
-    match_of = _matcher(ys, n, dtype)
-    best = (-1,)  # (matches, ones, -mask, supporter weight), maximized; masks are distinct
-    for k, blocks in _levels(matrix, dtype, matrix.t):
-        if most[k] <= best[0]:  # no mask here beats the best; a tie loses to its higher level
-            continue
-        supp = supporter_weight(matrix, Proposal(ceiling[k], matrix.t))
-        if 2 * supp >= n:  # the ceiling wins its level: most matches, smallest mask
-            best = (most[k], k, -ceiling[k], supp)
-            continue
-        for masks, supp in blocks:
+    best, match_of = (-1,), None  # (matches, ones, -mask, supporter weight), maximized
+    for m, k in sorted(zip(most, range(t + 1)), reverse=True):
+        if (m, k) < best[:2]:  # neither this level nor any after it can beat the best
+            break
+        supp = supporter_weight(matrix, Proposal(ceiling[k], t))
+        if 2 * supp >= n:  # the ceiling wins its level, and so beats every level after it
+            best = (m, k, -ceiling[k], supp)
+            break
+        for masks, supp in _level(matrix, k, dtype):
+            match_of = match_of or _matcher(ys, n, dtype)
             match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
             top = np.flatnonzero(match == match.max())
             i = top[np.argmin(masks[top])]

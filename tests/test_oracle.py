@@ -199,7 +199,14 @@ def brute_force(matrix):
 
 def oracle_matrices():
     """Random integer matrices (t <= 7), their canonical forms and worst cases,
-    each as drawn or with columns flipped.
+    each as drawn or with columns flipped, and matrices of 3 to 8 rows with at
+    most two Ys each over an odd t <= 7.
+
+    The sparse rows leave all-Y and the levels near it without support, so
+    md_of walks down the levels; it scans in about 2% of the draws, against
+    under 1% without them. An odd t asks a supporter for a strict majority of
+    the topics, which leaves more ceilings without support, and the sparse
+    matrices are not flipped, as that would make their rows dense.
 
     The worst cases (theorem2, lemma1, theorem3) leave the column-majority
     proposal without majority support, so they reach the level search, where
@@ -221,8 +228,19 @@ def oracle_matrices():
             lambda M: theorem3_matrix(tk[0], tk[1], M)
         )),
     )
+    sparse_rows = st.sampled_from((3, 5, 7)).flatmap(
+        lambda t: st.lists(
+            st.tuples(
+                st.sets(st.integers(0, t - 1), max_size=2).map(lambda ys: sum(1 << i for i in ys)),
+                st.integers(1, 5),
+            ),
+            min_size=3,
+            max_size=8,
+        ).map(lambda x: VoterMatrix(t, tuple(VoterRow(m, t, w) for m, w in x)))
+    )
     drawn = st.one_of(random_rows, random_rows.map(lambda m: canonicalize(m)[0]), worst)
-    return st.one_of(drawn, st.tuples(drawn, st.integers(min_value=1)).map(_flipped))
+    flipped = st.tuples(drawn, st.integers(min_value=1)).map(_flipped)
+    return st.one_of(drawn, flipped, sparse_rows)
 
 
 def _flipped(drawn):
@@ -244,7 +262,7 @@ class TestAgainstBruteForce:
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             assert md_of(matrix) == md
         # the md scan runs exactly when the restated walk leaves a level to scan
-        assert scan.called == bool(_md_walk(matrix))
+        assert scan.called == bool(_md_walk(matrix)[0])
         event("md scan" if scan.called else "md no scan")
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             result = best_representation(matrix)
@@ -257,8 +275,8 @@ class TestAgainstBruteForce:
 
     def test_both_paths_are_exercised(self):
         # each call ends in a short-cut (all-Y for md, the column-majority proposal
-        # for best_representation: no level table built), at a ceiling (tables built,
-        # no scan) or in a scan
+        # for best_representation: no ceiling computed), at a ceiling (ceilings
+        # computed, no scan) or in a scan
         # in the last matrix the level-4 ceiling YYNYY has supporter weight 3 of
         # n = 7, while another 4-Y proposal has 4
         scans = VoterMatrix.from_strings(
@@ -272,13 +290,18 @@ class TestAgainstBruteForce:
             (scans, "scan", "scan"),
         )
         for matrix, md_path, best_path in cases:
-            results = []
+            results, scanned = [], []
             for fn, path in ((md_of, md_path), (best_representation, best_path)):
-                with mock.patch.object(oracle, "_levels", wraps=oracle._levels) as levels:
+                with mock.patch.object(oracle, "_ceilings", wraps=oracle._ceilings) as ceilings:
                     with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
                         results.append(fn(matrix))
-                taken = "scan" if scan.called else "ceiling" if levels.called else "short-cut"
+                taken = "scan" if scan.called else "ceiling" if ceilings.called else "short-cut"
                 assert taken == path
+                scanned.append(_scanned(scan))
+            # in the last matrix md_of's supported 4-Y mask is in the second of
+            # level 4's blocks, so it scans both (2 + 3 masks)
+            md_levels, md_count = _md_walk(matrix)
+            assert scanned[0] == (set(md_levels), md_count)
             md, result = results
             assert (md, result.best_proposal, result.value, result.supporter_weight) == (
                 brute_force(matrix)
@@ -456,51 +479,64 @@ def _ceiling(matrix, k):
 
 
 def _level_walk(matrix):
-    """(levels scanned, levels decided by their ceiling, levels skipped, how it
-    ended) of the best_representation level search, restated from core.
+    """(levels scanned, levels decided by their ceiling, levels out of reach)
+    of the best_representation level search, restated from core.
 
-    From k = t down: a level is skipped when the voters within t - |k - l| >=
-    threshold of it weigh under n/2, or when its ceiling has no more matches
-    than the best found; its ceiling decides it when that has majority support;
-    any other level is scanned. The walk stops before level k once sum(n - y_i)
-    plus the k largest positive gains 2*y_i - n, the most matches of any
-    proposal with at most k Ys, is no more than the best found: the oracle
-    skips each of those levels by its ceiling, which scans the same levels."""
+    The levels are visited best first, by (most matches, Y-count), and the walk
+    stops at the first level below the (matches, Y-count) of the best found.
+    A visited level is decided by its ceiling when that has majority support,
+    out of reach when the voters within t - |k - l| >= threshold of it weigh
+    under n/2, and scanned otherwise."""
     t, n = matrix.t, matrix.n
-    ys = sorted(column_tally(matrix).y_weights, key=lambda y: -y)
-    best, scanned, ceilings, skipped = None, [], [], []
-    for k in range(t, -1, -1):
-        cap = sum(n - y for y in ys) + sum(max(2 * y - n, 0) for y in ys[:k])
-        if best is not None and cap <= best:
-            return scanned, ceilings, skipped, "score stop"
-        mask, most = _ceiling(matrix, k)
-        if 2 * _reach(matrix, k) < n or (best is not None and most <= best):
-            skipped.append(k)
-        elif has_majority_support(matrix, Proposal(mask, t)):
+    tops = [_ceiling(matrix, k) for k in range(t + 1)]  # (mask, most matches) of each level
+    best, scanned, ceilings, skipped = (-1,), [], [], []
+    for most, k in sorted(((most, k) for k, (_, most) in enumerate(tops)), reverse=True):
+        if (most, k) < best:
+            break
+        if has_majority_support(matrix, Proposal(tops[k][0], t)):
             ceilings.append(k)
-            best = most
+            best = (most, k)
+        elif 2 * _reach(matrix, k) < n:
+            skipped.append(k)
         else:
             scanned.append(k)
             for p in range(1 << t):
                 proposal = Proposal(p, t)
                 if p.bit_count() == k and has_majority_support(matrix, proposal):
-                    best = max(best or 0, matches(matrix, proposal))
-    return scanned, ceilings, skipped, "full sweep"
+                    best = max(best, (matches(matrix, proposal), k))
+    return scanned, ceilings, skipped
 
 
 def _md_walk(matrix):
-    """Levels md_of scans, restated from core: none when all-Y has majority
-    support; otherwise each level from t - 1 down to md whose possible
-    supporters weigh at least n/2, except md itself when its ceiling has
-    majority support."""
+    """(levels md_of scans, masks it scans), restated from core: none when
+    all-Y has majority support; otherwise each level from t - 1 down to md
+    whose possible supporters weigh at least n/2, except md itself when its
+    ceiling has majority support. Each level above md is scanned whole, and
+    md's scan ends with its first block that holds a supported mask."""
     t, n = matrix.t, matrix.n
     md = brute_force(matrix)[0]
     if md == t:
-        return []
+        return [], 0
     levels = [k for k in range(t - 1, md, -1) if 2 * _reach(matrix, k) >= n]
+    count = sum(comb(t, k) for k in levels)
     if not has_majority_support(matrix, Proposal(_ceiling(matrix, md)[0], t)):
         levels.append(md)
-    return levels
+        for block in _blocks(t, md):
+            count += len(block)
+            if any(has_majority_support(matrix, Proposal(p, t)) for p in block):
+                break
+    return levels, count
+
+
+def _blocks(t, k):
+    """The masks with k ones in the oracle's blocks at the default chunk: one
+    per number j of ones in the low t // 2 bits, j ascending."""
+    low = (1 << t // 2) - 1
+    groups = [
+        [p for p in range(1 << t) if p.bit_count() == k and (p & low).bit_count() == j]
+        for j in range(t // 2 + 1)
+    ]
+    return [group for group in groups if group]
 
 
 def _reach(matrix, k):
@@ -528,21 +564,19 @@ class TestLevelSearch:
         if _majority_supported(matrix):
             assert not scan.called
             return
-        scanned, ceilings, skipped, how = _level_walk(matrix)
+        scanned, ceilings, skipped = _level_walk(matrix)
         levels, count = _scanned(scan)
         assert levels == set(scanned)
         assert count == sum(comb(t, k) for k in scanned)
-        event(how)
         if skipped:
-            event("level skipped")
+            event("level out of reach")
         if ceilings:
             event("ceiling decides a level")
         assert has_majority_support(matrix, result.best_proposal)
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             md_of(matrix)
-        # every level is one block at the default chunk, so md_of scans it whole
-        md_levels = _md_walk(matrix)
-        assert _scanned(scan) == (set(md_levels), sum(comb(t, k) for k in md_levels))
+        md_levels, md_count = _md_walk(matrix)
+        assert _scanned(scan) == (set(md_levels), md_count)
 
     @pytest.mark.parametrize("t", range(8, 21))
     def test_worst_cases_scan_one_level(self, t):
@@ -555,13 +589,13 @@ class TestLevelSearch:
                 assert _scanned(scan)[1] == 0
         assert md_of(cases[0]) == (t + 2) // 2
 
-    def test_full_sweep_without_score_stop(self):
-        # column Y-weights 3, 3, 4 of n = 8: the all-N winner sits on the last
-        # level, so the score bound never cuts; the ceilings decide levels 2 and
-        # 0, and only level 1 is scanned
+    def test_ceiling_after_a_scan_without_support(self):
+        # column Y-weights 3, 3, 4 of n = 8: level 1 has the most matches (14,
+        # tied with level 0, and more Ys), but none of its masks has majority
+        # support; level 0's ceiling, all-N, then wins and stops the walk
         matrix = VoterMatrix.from_strings(["NNY", "YYY", "YNN", "NYN"], weights=[3, 1, 2, 2])
         assert column_tally(matrix).y_weights == (3, 3, 4)
-        assert _level_walk(matrix) == ([1], [2, 0], [3], "full sweep")
+        assert _level_walk(matrix) == ([1], [0], [])
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
             result = best_representation(matrix)
         assert _scanned(scan) == ({1}, 3)
@@ -573,11 +607,28 @@ class TestLevelSearch:
         )
         assert witness.mask == 0 and md_of(matrix) == md
 
-    @pytest.mark.parametrize("chunk", [2**4, 2])
+    def test_best_first_stop(self):
+        # column Y-weights 3, 2, 3 of n = 7: all-N (13 matches) is out of reach,
+        # and level 1's ceiling YNN (12) has supporter weight 6, which ends the
+        # walk; a walk from t Ys down would first scan level 2 (masks 3, 5 and 6)
+        matrix = VoterMatrix.from_strings(["YNY", "NNN", "YYN", "NYY"], weights=[2, 3, 1, 1])
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            result = best_representation(matrix)
+        assert (result.best_proposal.to_string(), result.value, result.supporter_weight) == (
+            "YNN",
+            12,
+            6,
+        )
+        assert _scanned(scan) == (set(), 0)
+        assert _level_walk(matrix) == ([], [1], [0])
+
+    @pytest.mark.parametrize("chunk", [2**4])
     def test_blocks_split_across_chunks(self, monkeypatch, chunk):
-        # with the default chunk every level up to t = 22 is one block; tiny
-        # chunks split levels (and, at chunk 2, the low-half groups), so the
-        # tie-breaks run between blocks
+        # a block joins a run of high halves to every low half with j ones, so
+        # blocks stay at most _CHUNK while _CHUNK >= C(h, h // 2), h = t // 2:
+        # 10 here (t <= 10), and 6,435 at t = 30 against the default 2^20. A
+        # tiny chunk splits those groups, so the tie-breaks run between blocks
+        # of one group as well as between groups
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         rng = random.Random(37)
         cases = [lemma1_matrix(t) for t in (7, 9, 10)]
@@ -595,8 +646,12 @@ class TestLevelSearch:
             with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
                 md = md_of(matrix)
                 result = best_representation(matrix)
-            assert all(call.args[2].size <= chunk for call in scan.call_args_list)
-            split |= scan.call_count > 2 * len(_scanned(scan)[0])  # more blocks than levels
+            t, h = matrix.t, matrix.t // 2
+            for call in scan.call_args_list:
+                masks = call.args[2]
+                assert masks.size <= chunk
+                k, j = int(masks[0]).bit_count(), (int(masks[0]) & ((1 << h) - 1)).bit_count()
+                split |= masks.size < comb(h, j) * comb(t - h, k - j)  # part of a group
             assert (md, result.best_proposal, result.value, result.supporter_weight) == (
                 brute_force(matrix)
             )
@@ -609,15 +664,17 @@ class TestLevelSearch:
         # YY voter and the all-Y block one lighter: every column tallies 21 of
         # n = 41, so level 13's ceiling is topics 0..12, which only the block
         # (20) supports, while a 13-Y proposal with topics 20 and 21 also has the
-        # YY voter (21); both calls scan level 13, C(22, 13) masks
+        # YY voter (21). Both calls scan level 13 only: best_representation all
+        # C(22, 13) of its masks, md_of its first block, which joins all 11
+        # high topics (20 and 21 among them) to the C(11, 2) low halves with 2
         t = 22
         rows = [VoterRow(1 << i, t) for i in range(20)]
         rows += [VoterRow(0b11 << 20, t), VoterRow((1 << t) - 1, t, 20)]
         matrix = VoterMatrix(t, tuple(rows))
-        for fn in (md_of, best_representation):
+        for fn, count in ((md_of, comb(11, 2)), (best_representation, comb(22, 13))):
             with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
                 fn(matrix)
-            assert _scanned(scan) == ({13}, comb(22, 13))
+            assert _scanned(scan) == ({13}, count)
             tracemalloc.start()
             try:
                 fn(matrix)
