@@ -19,7 +19,7 @@ from .core import (
     VoterRow,
     column_tally,
 )
-from .lpsolve import _integer_rows, _primal_check
+from .lpsolve import SupportRows
 
 VLP_TOPIC_CAP = 20
 THEOREM3_K_LIMIT = 200  # largest k theorem3_proof_parameters scans
@@ -154,7 +154,7 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
         raise ParameterError(f"profile covers {profile.t} topics, expected {t}")
     if not min_k(t) <= w <= t:
         raise ParameterError(f"vlp_matrix requires {min_k(t)} <= w <= {t}")
-    cut, _ = _primal_check(w, _integer_rows(t, w), dict(enumerate(profile.fractions)))
+    cut, _ = SupportRows.build(t, w).primal_check(dict(enumerate(profile.fractions)))
     if cut is not None:
         raise ParameterError(f"profile infeasible: k-proposal support exceeds half at k={cut}")
     rows = []

@@ -25,6 +25,14 @@ class ParameterError(ValueError):
     """A parameter is outside the range an operation is defined for."""
 
 
+class ShapeError(ParameterError):
+    """A row's topic count differs from its matrix's; ``index`` is the row's position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class ResourceLimitError(RuntimeError):
     """The instance is too large for the requested (usually exhaustive) method."""
 
@@ -130,11 +138,9 @@ class VoterMatrix:
         _check_topics(self.t)
         if not self.rows:
             raise ParameterError("voter matrix needs at least one row")
-        for row in self.rows:
+        for index, row in enumerate(self.rows):
             if row.t != self.t:
-                raise ParameterError(
-                    f"row has {row.t} topics but the matrix has {self.t}"
-                )
+                raise ShapeError(f"row has {row.t} topics but the matrix has {self.t}", index)
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "n", sum(r.weight for r in self.rows))
 

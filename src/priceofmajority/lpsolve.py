@@ -12,22 +12,30 @@ The strict "<" of the underlying feasibility condition is relaxed to "<=":
 the closed optimum equals the supremum of the open region, and matrices
 arbitrarily close to it exist (supremum semantics).
 
-The constraint data of every w is a suffix of one integer table per t, the
-rows (s_kl(t, k, l))_l for k = ceil((t+1)/2)..t; a row's last entry
-s_kl(t, k, t) = C(t, k) is its right-hand side. Each row comes from the
-recurrence of :func:`.combinatorics.s_kl_row` in O(t) big-integer steps, and
-a call builds the table once.
+The constraint data of every w is a suffix of one table per t,
+:class:`SupportRows`: the integer rows (s_kl(t, k, l))_l for
+k = ceil((t+1)/2)..t, whose last entry s_kl(t, k, t) = C(t, k) is the
+right-hand side, and a float64 copy of each row over its C(t, k). Each row
+comes from the recurrence of :func:`.combinatorics.s_kl_row` in O(t)
+big-integer steps, and a call builds the table once.
 
 Working set. The optimal bases are tiny (for most w the support is
 {a, a+1, t} with two tight rows), so each w is solved on a restricted LP:
 the rows k in a working set R, the columns l in a working set L and the mass
 row, solved exactly by the integer simplex below. Each round then checks the
-restricted optimum x and its duals y against the full LP, in integers over
-one common denominator:
+restricted optimum x and its duals y against the full LP:
 
 - separation adds the row k >= w outside R that x violates most;
 - pricing adds the column l outside L with the largest positive reduced
   cost under y.
+
+Both checks are float filters checked exactly, in the manner of Fortune and
+Van Wyk (1996) and Shewchuk (1997): one numpy product on the float rows
+scores every row or column, and only the entries that a proven absolute
+error bound leaves undecided, those near zero and those near the maximum,
+are recomputed in integers over one common denominator, so the row that
+enters, the column that enters and the tight rows are exactly those of an
+all-integer pass (:class:`SupportRows` states the bound).
 
 When neither adds anything, x (zero outside L) satisfies every row and y
 (zero outside R) prices every column out, with equal objectives: a primal
@@ -65,18 +73,20 @@ on the highly degenerate rows next to w = ceil((t+1)/2), where every row is
 tight; after a run of degenerate pivots it switches to Bland's anti-cycling
 rule, and the dual simplex uses Bland's rule throughout, so termination is
 guaranteed and results are deterministic. The tableau, its duals and the
-reduced costs are integers; each round reads the basic values as Fractions
-for the primal check, which clears them to integers over one denominator,
-and the returned :class:`LpSolution` holds Fractions. The float results
-(:func:`solve_ma_float`, ``ma_table(t, exact=False)``) are these certified
-optima cast to float; there is no second solver.
+exact reduced costs are integers; each round reads the basic values as
+Fractions for the primal check, which clears them to integers over one
+denominator, and the returned :class:`LpSolution` holds Fractions. The
+float results (:func:`solve_ma_float`, ``ma_table(t, exact=False)``) are
+these certified optima cast to float; there is no second solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
+
+import numpy as np
 
 from .combinatorics import binomial, min_k, s_kl_row
 from .core import ParameterError, ResourceLimitError, TypeProfile
@@ -85,6 +95,7 @@ _rational = Fraction  # number type of exact results, recorded by environment re
 
 EXACT_T_CAP = 1000
 _DEGENERATE_PIVOT_LIMIT = 30
+_ERROR_PER_TERM = 2.0**-48  # 16 * 2^-52 per term of a float product (SupportRows)
 
 
 @dataclass(frozen=True)
@@ -127,9 +138,132 @@ def ma_linear_lower(t: int, w: int) -> Fraction:
     return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
 
 
-def _integer_rows(t: int, w: int) -> list[list[int]]:
-    """[s_kl(t, k, l) for l = 0..t] for k = w..t; entry t of row k is C(t, k)."""
-    return [s_kl_row(t, k) for k in range(w, t + 1)]
+def _float_rows(ints) -> np.ndarray:
+    """The rows s_kl(t, k, l) / C(t, k) in float64.
+
+    A row whose C(t, k) has more than 1020 bits is shifted right first, so
+    that no entry overflows: C(t, t // 2) exceeds the float64 maximum from
+    t = 1030 on. Each entry is within 2^-51 of its ratio relative, from the
+    two casts and the division, plus 2^-1018 absolute, from the shift and
+    from underflow.
+    """
+    table = np.empty((len(ints), len(ints[0])))
+    for i, row in enumerate(ints):
+        shift = max(0, row[-1].bit_length() - 1020)
+        table[i] = [s >> shift for s in row] if shift else row
+    table /= table[:, -1:]
+    return table
+
+
+@dataclass(eq=False)
+class SupportRows:
+    """The LP rows 2 s_k.v' <= C(t, k) for k = w..t, in integers and in float64.
+
+    ``ints`` holds [s_kl(t, k, l) for l = 0..t] per row k, whose last entry
+    s_kl(t, k, t) = C(t, k) is its right-hand side; ``floats`` holds the
+    same rows over C(t, k) (:func:`_float_rows`). :meth:`primal_check` and
+    :meth:`price` are the two checks of a working-set round. Each scores
+    every row or column with one float product, bounds that product's error
+    by an absolute epsilon, and recomputes in integers only the entries the
+    bound leaves undecided: those within epsilon of the threshold and those
+    within 2 epsilon of the float maximum. Every exact result, tie order
+    included, is the one an all-integer pass gives.
+
+    The error bound. Every input of a product is within 4 u of its value
+    relative, u = 2^-53, plus 2^-1018 absolute: the float rows as
+    :func:`_float_rows` states, and x_l, g_k = 2 y_k C(t, k)/den and
+    y_mass/den, which are correctly rounded. A float dot product of n
+    nonnegative terms, in any summation order, is within n u / (1 - n u)
+    of its sum relative. Since s_kl <= C(t, k), a reduced cost is bounded
+    in magnitude by M = t + y_mass/den + sum_k g_k and a row's load
+    sum_l x_l s_kl / C(t, k) by M = sum_l x_l, so a computed value lies
+    within about (n + 11) u M of the exact one, n the dual rows or the
+    support, and a threshold computed from it within u more. The absolute
+    epsilon is 16 (n + 4) 2^-52 (M + 1), at least 8 times that, and the
+    + 1 covers the absolute errors of the entries. (No entry underflows for
+    t <= 1100; the smallest ratio at t = 999 is about 1e-37.)
+    """
+
+    t: int
+    w: int
+    ints: list[list[int]]
+    floats: np.ndarray
+
+    @classmethod
+    def build(cls, t: int, w: int) -> SupportRows:
+        """The rows k = w..t, each from :func:`.combinatorics.s_kl_row`."""
+        ints = [s_kl_row(t, k) for k in range(w, t + 1)]
+        return cls(t, w, ints, _float_rows(ints))
+
+    def suffix(self, w: int) -> SupportRows:
+        """The rows k = w..t of this table, sharing its integers and floats."""
+        return SupportRows(self.t, w, self.ints[w - self.w :], self.floats[w - self.w :])
+
+    def primal_check(self, x) -> tuple[int | None, tuple[int, ...]]:
+        """(cut, active) of the profile x = {l: v'_l}.
+
+        ``cut`` is the row x violates most per C(t, k), the first on a tie, or
+        None; ``active`` are the tight rows. Row k is tight when its load
+        sum_l x_l s_kl / C(t, k) is 1/2 and violated when it exceeds 1/2.
+        """
+        support = [l for l, v in x.items() if v]
+        xs = [float(x[l]) for l in support]
+        loads = (self.floats[:, support] @ xs).tolist()
+        eps = (len(support) + 4) * _ERROR_PER_TERM * (sum(xs) + 1)
+        # undecided: within eps of 1/2, or within 2 eps of the largest load
+        low, high, top = 0.5 - eps, 0.5 + eps, max(loads) - 2 * eps
+        near = [i for i, load in enumerate(loads) if low <= load and (load <= high or top <= load)]
+        # the excesses 2 s_k.x - C(t, k) of the near rows, over the lcm of x's denominators
+        den = lcm(*(v.denominator for v in x.values()))
+        excess = [-self.ints[i][-1] * den for i in near]
+        for l in support:
+            n = 2 * x[l].numerator * (den // x[l].denominator)
+            excess = [e + self.ints[i][l] * n for e, i in zip(excess, near)]
+        cut, cut_excess, cut_c = None, 0, 1
+        active = []
+        for i, e in zip(near, excess):
+            c = self.ints[i][-1]  # C(t, k) = s_kl(t, k, t)
+            if e == 0:
+                active.append(self.w + i)
+            elif e > 0 and e * cut_c > cut_excess * c:
+                cut, cut_excess, cut_c = self.w + i, e, c
+        return cut, tuple(active)
+
+    def price(self, duals, den: int, skip) -> int | None:
+        """The column l = 1..t outside ``skip`` with the largest positive reduced cost.
+
+        ``duals`` = [(k, y_k)] are numerators over ``den`` > 0, k = None on the
+        mass row. The first column on a tie enters; None means that y prices
+        every column out. The float reduced cost of column l is
+        l - y_mass/den - sum_k g_k s_kl / C(t, k), g_k = 2 y_k C(t, k)/den.
+        """
+        dual_rows = [(k - self.w, y) for k, y in duals if k is not None]
+        g = [2 * y * self.ints[i][-1] / den for i, y in dual_rows]
+        mass = sum(y for k, y in duals if k is None) / den
+        product = g @ self.floats[[i for i, _ in dual_rows]]
+        reduced = (np.arange(self.t + 1) - mass - product).tolist()
+        for l in (0, *skip):  # column 0 never prices in
+            reduced[l] = -inf
+        eps = (len(g) + 4) * _ERROR_PER_TERM * (self.t + mass + sum(g) + 1)
+        top = max(reduced)
+        if top < -eps:
+            return None
+        floor = max(-eps, top - 2 * eps)
+        near = [l for l, r in enumerate(reduced) if r >= floor]
+        exact = self.reduced_costs(duals, den, near)
+        best = max(exact, default=0)
+        return near[exact.index(best)] if best > 0 else None
+
+    def reduced_costs(self, duals, den: int, columns) -> list[int]:
+        """Reduced costs l - sum_k 2 y_k s_kl - y_mass of ``columns``, in integers over ``den``."""
+        reduced = [l * den for l in columns]
+        for k, y in duals:
+            if k is None:
+                reduced = [r - y for r in reduced]
+            else:
+                u, row = 2 * y, self.ints[k - self.w]
+                reduced = [r - u * row[l] for r, l in zip(reduced, columns)]
+        return reduced
 
 
 class _Tableau:
@@ -323,10 +457,10 @@ def _reduced(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _working_set_solve(t: int, w: int, rows, ks, ls):
-    """Certified optimum of ma_t(w) from the integer rows k = w..t.
+def _working_set_solve(rows: SupportRows, ks, ls):
+    """Certified optimum of ma_t(w) from the rows k = w..t.
 
-    ``rows`` is :func:`_integer_rows` (t, w); the working set starts from the
+    ``rows`` is :class:`SupportRows` (t, w); the working set starts from the
     rows ``ks`` and the columns ``ls``. Row k enters the tableau as
     2 s_k.v' <= C(t, k), and the mass equality as sum v'_l <= 1: any slack is
     absorbed into v'_0, which has zero objective weight and appears in no
@@ -337,14 +471,15 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     the support to v'_l (v'_0 takes the rest of the mass), value is
     sum_l l v'_l = t ma_t(w), and dual_ks are the rows with positive duals.
     """
+    t, w, ints = rows.t, rows.w, rows.ints
     if t % 2 and w - min_k(t) in (0, 1):
-        certified = _lemma7_certificate(t, w, rows)
+        certified = _lemma7_certificate(rows)
         if certified is not None:
             return certified
     row_ks = sorted({k for k in ks if w <= k <= t})
     col_ls = sorted({l for l in ls if 0 <= l <= t})
     seed_rows = [
-        ([2 * rows[k - w][l] for l in col_ls], rows[k - w][t], 2 * rows[k - w][t])
+        ([2 * ints[k - w][l] for l in col_ls], ints[k - w][t], 2 * ints[k - w][t])
         for k in row_ks
     ]
     tableau = _Tableau(col_ls, seed_rows + [([1] * len(col_ls), 1, 1)])
@@ -354,22 +489,20 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     while True:
         values = tableau.primal_values()
         x = {l: values[j] for l, j in column.items() if values.get(j)}
-        cut, active = _primal_check(w, rows, x)
+        cut, active = rows.primal_check(x)
         duals = [(k, tableau.obj[s]) for k, s in zip(row_ks, tableau.slacks) if tableau.obj[s]]
-        reduced = _reduced_costs(t, w, rows, duals, tableau.obj_den)
-        priced_in = [l for l in range(1, t + 1) if l not in column and reduced[l] > 0]
-        price = max(priced_in, key=reduced.__getitem__, default=None)  # the first on a tie
+        price = rows.price(duals, tableau.obj_den, column)
         if cut is None and price is None:
             break
         if cut is not None:
             a = [0] * (len(tableau.obj) - 1)
             for l, j in column.items():
-                a[j] = 2 * rows[cut - w][l]
-            tableau.add_row(a, rows[cut - w][t], 2 * rows[cut - w][t])
+                a[j] = 2 * ints[cut - w][l]
+            tableau.add_row(a, ints[cut - w][t], 2 * ints[cut - w][t])
             row_ks.append(cut)
             tableau.dual()
         if price is not None:
-            entries = [1 if k is None else 2 * rows[k - w][price] for k in row_ks]
+            entries = [1 if k is None else 2 * ints[k - w][price] for k in row_ks]
             tableau.add_column(price, entries)
             column[price] = len(tableau.obj) - 2
             tableau.primal()
@@ -377,65 +510,31 @@ def _working_set_solve(t: int, w: int, rows, ks, ls):
     return x, tableau.value(), active, tableau.pivots, dual_ks
 
 
-def _primal_check(w: int, rows, x):
-    """(cut, active) of the profile x = {l: v'_l} on the rows 2 s_k.v' <= C(t, k), k = w..t.
-
-    ``rows`` is :func:`_integer_rows` (t, w). ``cut`` is the row x violates
-    most per C(t, k), the first on a tie, or None; ``active`` are the tight rows.
-    """
-    den = lcm(*(v.denominator for v in x.values()))
-    p = [(l, v.numerator * (den // v.denominator)) for l, v in x.items() if v]
-    cut, cut_excess, cut_c = None, 0, 1
-    active = []
-    for k, row in enumerate(rows, w):
-        c = row[-1]  # C(t, k) = s_kl(t, k, t)
-        excess = 2 * sum(row[l] * n for l, n in p) - c * den
-        if excess == 0:
-            active.append(k)
-        elif excess > 0 and excess * cut_c > cut_excess * c:
-            cut, cut_excess, cut_c = k, excess, c
-    return cut, tuple(active)
-
-
-def _reduced_costs(t: int, w: int, rows, duals, den: int) -> list[int]:
-    """Reduced costs l - sum_k 2 y_k s_kl - y_mass of the columns l = 0..t, over ``den``.
-
-    ``duals`` = [(k, y_k)] are numerators over ``den`` on the rows of
-    ``rows`` = :func:`_integer_rows` (t, w), k = None on the mass row, summed
-    row by row. y prices column l out when its reduced cost is <= 0.
-    """
-    reduced = [l * den for l in range(t + 1)]
-    for k, y in duals:
-        if k is None:
-            reduced = [r - y for r in reduced]
-        else:
-            u = 2 * y
-            reduced = [r - u * s for r, s in zip(reduced, rows[k - w])]
-    return reduced
-
-
-def _lemma7_certificate(t: int, w: int, rows):
+def _lemma7_certificate(rows: SupportRows):
     """ma_t(w) = (a + t)/(2t) at odd t and w = ceil((t+1)/2) + a for a = 0, 1.
 
-    A candidate certified by :func:`_primal_check` and :func:`_reduced_costs`:
-    the lemma-7 profile x_a = x_t = 1/2 with every row tight, and the duals
-    y_k = (t - a)(2k - t) / (2 f_t) on the rows 2 s_k.v' <= C(t, k) and a on
-    the mass row, f_t = sum_{k >= w} (2k - t) C(t, k) = t C(t-1, w-1) (it
-    telescopes). Both objectives are (a + t)/2. At a = 0 every reduced cost is
-    0, the paper's support-sum identity sum_k (2k - t) s_kl = l C(t-1, t // 2),
-    and a failure raises, since it is a theorem. At a = 1 a column that prices
-    in returns None, and the row goes to the working set.
+    A candidate certified by :meth:`SupportRows.primal_check` and the
+    reduced costs: the lemma-7 profile x_a = x_t = 1/2 with every row tight,
+    and the duals y_k = (t - a)(2k - t) / (2 f_t) on the rows
+    2 s_k.v' <= C(t, k) and a on the mass row,
+    f_t = sum_{k >= w} (2k - t) C(t, k) = t C(t-1, w-1) (it telescopes). Both
+    objectives are (a + t)/2. At a = 0 every reduced cost is 0, the paper's
+    support-sum identity sum_k (2k - t) s_kl = l C(t-1, t // 2), checked in
+    integers on every column, and a failure raises, since it is a theorem.
+    At a = 1 a column that prices in (:meth:`SupportRows.price`) returns
+    None, and the row goes to the working set.
     """
+    t, w = rows.t, rows.w
     a = w - min_k(t)
     every_row = tuple(range(w, t + 1))
     x = {l: Fraction(1, 2) for l in (a, t) if l}  # v'_0 takes the rest of the mass
-    tight = _primal_check(w, rows, x)[1] == every_row
+    tight = rows.primal_check(x)[1] == every_row
     den = 2 * t * binomial(t - 1, w - 1)
     duals = [(k, (t - a) * (2 * k - t)) for k in every_row] + [(None, a * den)]
-    reduced = _reduced_costs(t, w, rows, duals, den)
-    if a == 0 and (not tight or any(reduced)):
-        raise AssertionError(f"support-sum identity fails at t={t}")
-    if not tight or max(reduced) > 0:
+    if a == 0:
+        if not tight or any(rows.reduced_costs(duals, den, range(t + 1))):
+            raise AssertionError(f"support-sum identity fails at t={t}")
+    elif not tight or rows.price(duals, den, ()) is not None:
         return None
     return x, Fraction(a + t, 2), every_row, 0, every_row
 
@@ -444,7 +543,7 @@ def solve_ma(t: int, w: int) -> LpSolution:
     """Exact optimum of the ma_t(w) LP."""
     _check_t(t, "solve_ma")
     _check_w(t, w)
-    x, value, active, pivots, _ = _working_set_solve(t, w, _integer_rows(t, w), (w,), (t,))
+    x, value, active, pivots, _ = _working_set_solve(SupportRows.build(t, w), (w,), (t,))
     fractions = [Fraction(0)] * (t + 1)
     for l, v in x.items():
         fractions[l] = v
@@ -477,11 +576,11 @@ def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:
         return [(w, float(ma)) for w, ma in ma_table(t)]
     _check_t(t, "ma_table")
     w0 = min_k(t)
-    rows = _integer_rows(t, w0)
+    rows = SupportRows.build(t, w0)
     table = []
     ks, ls = (), (t,)
     for w in range(t, w0 - 1, -1):
-        x, value, _, _, ks = _working_set_solve(t, w, rows[w - w0 :], (*ks, w), ls)
+        x, value, _, _, ks = _working_set_solve(rows.suffix(w), (*ks, w), ls)
         ls = {m for l in x for m in (l - 1, l, l + 1) if 1 <= m <= t}
         table.append((w, value / t))
     return table[::-1]

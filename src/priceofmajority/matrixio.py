@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 
-from .core import ParameterError, VoterMatrix, VoterRow, parse_opinions
+from .core import ParameterError, ShapeError, VoterMatrix, VoterRow, parse_opinions
 
 _LINE = re.compile(r"^(?:(\d+)\s*x\s+)?([YN]+)$")
 
@@ -21,8 +21,7 @@ class MatrixFormatError(ValueError):
 
 
 def parse_matrix(text: str) -> VoterMatrix:
-    rows = []
-    t = None
+    rows, line_numbers = [], []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -34,20 +33,17 @@ def parse_matrix(text: str) -> VoterMatrix:
                 line_number,
             )
         weight = int(m.group(1)) if m.group(1) else 1
-        mask, row_t = parse_opinions(m.group(2))
-        if t is None:
-            t = row_t
-        elif row_t != t:
-            raise MatrixFormatError(
-                f"row has {row_t} topics, earlier rows have {t}", line_number
-            )
         try:
-            rows.append(VoterRow(mask, row_t, weight))
+            rows.append(VoterRow(*parse_opinions(m.group(2)), weight))
         except ParameterError as exc:
             raise MatrixFormatError(str(exc), line_number) from exc
+        line_numbers.append(line_number)
     if not rows:
         raise MatrixFormatError("no voter rows found", 0)
-    return VoterMatrix(t, tuple(rows))
+    try:  # the matrix owns the shape rule: every row has the first row's topics
+        return VoterMatrix(rows[0].t, tuple(rows))
+    except ShapeError as exc:
+        raise MatrixFormatError(str(exc), line_numbers[exc.index]) from exc
 
 
 def write_matrix(matrix: VoterMatrix, header: str | None = None) -> str:

@@ -15,8 +15,8 @@ from priceofmajority import (
     solve_ma,
     solve_ma_float,
 )
-from priceofmajority.combinatorics import min_k
-from priceofmajority.lpsolve import EXACT_T_CAP
+from priceofmajority.combinatorics import min_k, s_kl_row
+from priceofmajority.lpsolve import EXACT_T_CAP, SupportRows
 
 
 class TestSolveMa:
@@ -141,8 +141,8 @@ class TestIntegerSimplex:
 
 
 def _full_simplex_ma(t, w):
-    """ma_t(w) from the full-tableau simplex on every row of lpsolve._integer_rows."""
-    rows = [([2 * s for s in row], row[t], 2 * row[t]) for row in lpsolve._integer_rows(t, w)]
+    """ma_t(w) from the full-tableau simplex on every integer row of lpsolve.SupportRows."""
+    rows = [([2 * s for s in row], row[t], 2 * row[t]) for row in SupportRows.build(t, w).ints]
     rows.append(([1] * (t + 1), 1, 1))
     _, value, _ = lpsolve._simplex(list(range(t + 1)), rows)
     return value / t
@@ -166,9 +166,7 @@ class TestWorkingSet:
         w = data.draw(st.integers(min_k(t), t), label="w")
         ks = data.draw(st.sets(st.integers(w, t)), label="ks")
         ls = data.draw(st.sets(st.integers(0, t)), label="ls")
-        x, value, active, _, _ = lpsolve._working_set_solve(
-            t, w, lpsolve._integer_rows(t, w), ks, ls
-        )
+        x, value, active, _, _ = lpsolve._working_set_solve(SupportRows.build(t, w), ks, ls)
         assert value / t == solve_ma(t, w).ma
         assert all(v > 0 for v in x.values()) and sum(x.values()) <= 1
         assert value == sum(l * v for l, v in x.items())
@@ -199,17 +197,17 @@ class TestWorkingSet:
             assert solution.active == tuple(range(w, t + 1)), t
 
     def test_failed_lemma7_dual_check_falls_back(self, monkeypatch):
-        reduced_costs = lpsolve._reduced_costs
+        price = SupportRows.price
         calls = []
 
         def column_2_prices_in_first(*args):
-            reduced = reduced_costs(*args)
+            entering = price(*args)
             if not calls:  # the lemma-7 candidate prices before any working-set round
-                reduced[2] = 1
+                entering = 2
             calls.append(args)
-            return reduced
+            return entering
 
-        monkeypatch.setattr(lpsolve, "_reduced_costs", column_2_prices_in_first)
+        monkeypatch.setattr(SupportRows, "price", column_2_prices_in_first)
         for t in (5, 9, 15, 21):
             calls.clear()
             solution = solve_ma(t, min_k(t) + 1)
@@ -234,10 +232,128 @@ class TestWorkingSet:
 
     def test_half_certificate_checks_the_identity(self):
         t = 9
-        rows = lpsolve._integer_rows(t, min_k(t))
-        rows[2][4] += 1
+        ints = SupportRows.build(t, min_k(t)).ints
+        ints[2][4] += 1
+        # the float copy is built from the corrupted row
+        rows = SupportRows(t, min_k(t), ints, lpsolve._float_rows(ints))
         with pytest.raises(AssertionError):
-            lpsolve._working_set_solve(t, min_k(t), rows, (), (t,))
+            lpsolve._working_set_solve(rows, (), (t,))
+
+
+def _exact_primal_check(rows, x):
+    """(cut, active) of x scored on every row in integers: the check without its filter."""
+    den = math.lcm(*(v.denominator for v in x.values()))
+    cut, cut_excess, cut_c, active = None, 0, 1, []
+    for k, row in enumerate(rows.ints, rows.w):
+        c = row[-1]
+        load = sum(row[l] * v.numerator * (den // v.denominator) for l, v in x.items())
+        excess = 2 * load - c * den
+        if excess == 0:
+            active.append(k)
+        elif excess > 0 and excess * cut_c > cut_excess * c:
+            cut, cut_excess, cut_c = k, excess, c
+    return cut, tuple(active)
+
+
+def _exact_price(rows, duals, den, skip):
+    """The entering column priced on every column in integers: the check without its filter."""
+    reduced = [
+        l * den - sum(y if k is None else 2 * y * rows.ints[k - rows.w][l] for k, y in duals)
+        for l in range(rows.t + 1)
+    ]
+    priced_in = [l for l in range(1, rows.t + 1) if l not in skip and reduced[l] > 0]
+    return max(priced_in, key=reduced.__getitem__, default=None)  # the first on a tie
+
+
+def _record_checks(monkeypatch):
+    """Every (check, rows, arguments, result) of SupportRows' two checks from now on."""
+    calls = []
+    primal_check, price = SupportRows.primal_check, SupportRows.price
+
+    def recorded_primal_check(rows, x):
+        result = primal_check(rows, x)
+        calls.append((_exact_primal_check, rows, (dict(x),), result))
+        return result
+
+    def recorded_price(rows, duals, den, skip):
+        result = price(rows, duals, den, skip)
+        calls.append((_exact_price, rows, (list(duals), den, set(skip)), result))
+        return result
+
+    monkeypatch.setattr(SupportRows, "primal_check", recorded_primal_check)
+    monkeypatch.setattr(SupportRows, "price", recorded_price)
+    return calls
+
+
+class TestFloatFilter:
+    """The float-filtered checks give exactly what an all-integer pass gives."""
+
+    @staticmethod
+    def _assert_exact(calls):
+        for reference, rows, args, result in calls:
+            assert result == reference(rows, *args), (reference.__name__, rows.t, rows.w)
+
+    def test_sweep_rounds(self, monkeypatch):
+        calls = _record_checks(monkeypatch)
+        for t in (*range(1, 42), 149):
+            ma_table(t)
+        assert sum(reference is _exact_price for reference, *_ in calls) > 500
+        self._assert_exact(calls)
+
+    def test_rounds_at_t999(self, monkeypatch):
+        # C(999, 500) is about 1e299, and the smallest ratio s_kl / C(t, k) about 1e-37
+        t = 999
+        rows = SupportRows.build(t, min_k(t))
+        calls = _record_checks(monkeypatch)
+        for a in (0, 1, 4, 10, 100, 400):
+            w = min_k(t) + a
+            lpsolve._working_set_solve(rows.suffix(w), (w,), (t,))
+        assert len(calls) > 20
+        self._assert_exact(calls)
+
+    @pytest.mark.parametrize("t", [9, 149, 999])
+    def test_ties_and_zero_reduced_costs(self, t):
+        # the lemma-7 duals at a = 0 price every column at exactly 0; one unit
+        # less on the mass dual prices every column at 1/den, a tie over 1..t
+        w = min_k(t)
+        rows = SupportRows.build(t, w)
+        den = 2 * t * math.comb(t - 1, w - 1)
+        duals = [(k, t * (2 * k - t)) for k in range(w, t + 1)]
+        for mass, skip, entering in ((0, (), None), (-1, (), 1), (-1, {1, 2}, 3)):
+            args = duals + [(None, mass)], den, skip
+            assert rows.price(*args) == entering == _exact_price(rows, *args)
+
+    def test_tie_between_two_columns(self):
+        # row k = t counts 1 for the l-voters with l >= h = ceil(t/2); its dual
+        # 1/2 prices column l at l below h and at l - 1 from h on: h - 1 and h tie
+        t = 149
+        h = (t + 1) // 2
+        rows = SupportRows.build(t, t)
+        skip = set(range(h + 1, t + 1))
+        assert rows.price([(t, 1)], 2, skip) == h - 1 == _exact_price(rows, [(t, 1)], 2, skip)
+        # a dual 2^-62 below 1/2 puts column h ahead by 2^-61, far inside the float error
+        den = 2**62
+        duals = [(t, den // 2 - 1)]
+        assert rows.price(duals, den, skip) == h == _exact_price(rows, duals, den, skip)
+
+    def test_tie_between_two_rows(self):
+        # rows 6 and 8 are the most violated, by exactly the same share of
+        # C(9, k); their float loads differ in the last bit, with row 6 lower
+        rows = SupportRows.build(9, 5)
+        x = {4: Fraction(6, 7), 6: Fraction(1, 7)}
+        assert rows.primal_check(x) == _exact_primal_check(rows, x)
+        assert rows.primal_check(x)[0] == 6
+
+    def test_float_copy_past_the_float_maximum(self):
+        # C(1100, 551) is about 1e329; row 824 holds the smallest ratio, about 3e-41
+        t = 1100
+        rows = [s_kl_row(t, k) for k in (min_k(t), 824)]
+        assert rows[0][-1] > 2**1024
+        for row, copy in zip(rows, lpsolve._float_rows(rows)):
+            assert all(math.isfinite(v) for v in copy)
+            for s, v in zip(row, copy):
+                exact = Fraction(s, row[-1])
+                assert abs(Fraction(v) - exact) <= exact / 2**51 + Fraction(1, 2**1018)
 
 
 class TestFloatGuard:

@@ -40,6 +40,12 @@ class TestParse:
             parse_matrix("YN\nYNY\n")
         assert info.value.line_number == 2
 
+    def test_ragged_row_named_by_its_line(self):
+        # the matrix reports the row's position; comments and blank lines do not count
+        with pytest.raises(MatrixFormatError, match="^line 5: row has 1 topics but") as info:
+            parse_matrix("# c\nYN\n\nNY # ok\nY\n")
+        assert info.value.line_number == 5
+
     def test_zero_weight(self):
         with pytest.raises(MatrixFormatError):
             parse_matrix("0x YN\n")
