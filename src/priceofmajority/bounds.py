@@ -4,7 +4,8 @@ r_t is the smallest, over all voter matrices with t topics, best relative
 representativeness achievable by a majority-supported proposal ("price of
 majority support"). The numeric bounds are driven by the ma_t(w) values from
 :mod:`.lpsolve` and take their number type: exact values give Fractions,
-float values give floats.
+float values give floats. The closed forms of ma_t live here: the linear
+lower bound on ma_t(w) and its tight end, ma_t(t).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import min_k
+from .combinatorics import check_range, min_k
 from .core import ParameterError
-# ma_closed_form_full and ma_linear_lower stay importable from here
-from .lpsolve import ma_closed_form_full, ma_linear_lower, ma_table
+from .lpsolve import ma_table
+
 
 @dataclass(frozen=True)
 class BoundDetail:
@@ -38,6 +39,23 @@ class RtBounds:
 def analytic_floor() -> Fraction:
     """Universal floor: r_V >= 1/3 for every voter matrix, hence r_t >= 1/3."""
     return Fraction(1, 3)
+
+
+def ma_linear_lower(t: int, w: int) -> Fraction:
+    """Linear lower bound ma_t(w) >= w/(2t) + floor((t-1)/2)/(2t); tight at w = t."""
+    check_range(t, "w", w)
+    return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
+
+
+def ma_closed_form_full(t: int) -> Fraction:
+    """ma_t(t) = 1/2 + floor((t-1)/2)/(2t); below 3/4 for every t.
+
+    An average majority above this forces majority support for the all-Y
+    proposal, which is the Rule of Three-Fourths in sharpened form.
+    """
+    if t < 1:
+        raise ParameterError(f"ma_closed_form_full requires t >= 1, got {t}")
+    return ma_linear_lower(t, t)
 
 
 def rt_analytic_upper(t: int) -> float:

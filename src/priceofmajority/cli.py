@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import constructions, lpsolve, matrixio, oracle, verify
-from .combinatorics import min_k
 from .core import (
+    ENUMERATION_TOPIC_CAP,
     ParameterError,
-    Proposal,
     ResourceLimitError,
     absolute_representativeness,
     canonicalize,
@@ -64,7 +63,7 @@ def _write_csv(path, header, rows, out):
 
 def cmd_analyze(args, out) -> int:
     with open(args.matrix, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:  # decoded whole, so exc.start is an offset in the file
         matrix = matrixio.parse_matrix(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -96,21 +95,20 @@ def cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
-# the options of each construction, in the order of its header and of
-# constructions.<kind>_matrix's parameters; each is a required int of its subcommand
-_CONSTRUCT_OPTIONS = {
-    "lemma1": ("t",),
-    "theorem2": ("l",),
-    "theorem3": ("t", "k", "M"),
-    "lemma7": ("t", "w", "n"),
-    "vlp": ("t", "w"),
-}
-_CONSTRUCT_HELP = {
-    "lemma1": "Lemma 1: Y-majorities on all t topics, yet md = ceil((t+1)/2)",
-    "theorem2": "Theorem 2: the 3-topic family whose r_V tends to the floor 5/6",
-    "theorem3": "Theorem 3: an equal-majority matrix with r_V below the analytic r_t limit",
-    "lemma7": "Lemma 7: a high average majority with no majority-supported w-Y proposal",
-    "vlp": "the ma_t(w) LP optimum as a topic-symmetric matrix",
+# each construction's help line and options, the options in the order of its header
+# and of constructions.<kind>_matrix's parameters; each is a required int of its subcommand
+_CONSTRUCTS = {
+    "lemma1": ("Lemma 1: Y-majorities on all t topics, yet md = ceil((t+1)/2)", ("t",)),
+    "theorem2": ("Theorem 2: the 3-topic family whose r_V tends to the floor 5/6", ("l",)),
+    "theorem3": (
+        "Theorem 3: an equal-majority matrix with r_V below the analytic r_t limit",
+        ("t", "k", "M"),
+    ),
+    "lemma7": (
+        "Lemma 7: a high average majority with no majority-supported w-Y proposal",
+        ("t", "w", "n"),
+    ),
+    "vlp": ("the ma_t(w) LP optimum as a topic-symmetric matrix", ("t", "w")),
 }
 _OPTION_HELP = {  # one meaning per option name across the kinds
     "t": "number of topics",
@@ -139,12 +137,12 @@ class _KindParser(argparse.ArgumentParser):
 
 def cmd_construct(args, out) -> int:
     kind = args.kind
-    options = {name: getattr(args, name) for name in _CONSTRUCT_OPTIONS[kind]}
+    options = {name: getattr(args, name) for name in _CONSTRUCTS[kind][1]}
     header = " ".join([kind, *(f"{name}={value}" for name, value in options.items())])
     if kind == "vlp":
-        if args.t > constructions.VLP_TOPIC_CAP:
+        if args.t > ENUMERATION_TOPIC_CAP:
             raise ResourceLimitError(
-                f"construct vlp materializes up to 2^t rows; t > {constructions.VLP_TOPIC_CAP}"
+                f"construct vlp materializes up to 2^t rows; t > {ENUMERATION_TOPIC_CAP}"
             )
         solution = lpsolve.solve_ma(args.t, args.w)
         options["profile"] = solution.profile
@@ -246,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="generate a worst-case matrix")
     kinds = p.add_subparsers(dest="kind", required=True, parser_class=_KindParser)
-    for kind, names in _CONSTRUCT_OPTIONS.items():
-        kind_help = _CONSTRUCT_HELP[kind]
+    for kind, (kind_help, names) in _CONSTRUCTS.items():
         kind_parser = kinds.add_parser(kind, help=kind_help, description=kind_help)
         for name in names:
             kind_parser.add_argument(f"--{name}", type=int, required=True, help=_OPTION_HELP[name])

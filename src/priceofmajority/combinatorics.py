@@ -4,7 +4,8 @@
 count is well-defined because permuting topics maps l-voters onto each other
 while leaving the set of k-proposals invariant. The closed formula is only
 valid for k >= ceil((t+1)/2); :func:`s_kl_oracle` enumerates directly and
-works for every k (at exponential cost).
+works for every k (at exponential cost). :func:`check_range` owns the range
+ceil((t+1)/2) <= k <= t, shared by the ma LP's w.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .core import ParameterError, ResourceLimitError, support_threshold
-
-ORACLE_TOPIC_CAP = 20
+from .core import ENUMERATION_TOPIC_CAP, ParameterError, ResourceLimitError, support_threshold
 
 
 def binomial(n: int, k: int) -> int:
@@ -35,22 +34,25 @@ def min_k(t: int) -> int:
     return _ceil_div(t + 1, 2)
 
 
+def check_range(t: int, name: str, value: int) -> None:
+    """Raise ParameterError unless min_k(t) <= value <= t; ``name`` names the value."""
+    if not min_k(t) <= value <= t:
+        raise ParameterError(f"{name} must lie in [{min_k(t)}, {t}], got {value}")
+
+
 def s_kl(t: int, k: int, l: int) -> int:
     """Number of k-proposals supported by an l-voter, for k in [ceil((t+1)/2), t].
 
     A k-proposal sharing x Ys with the l-voter agrees with it on
     x + (t - l) - (k - x) topics, so it is supported iff
-    x >= ceil((k + l - floor(t/2)) / 2).
+    x >= ceil((k + l - floor(t/2)) / 2). :func:`s_kl_oracle` counts them for
+    general k.
     """
     if t < 1:
         raise ParameterError("s_kl requires t >= 1")
     if not 0 <= l <= t:
         raise ParameterError(f"s_kl requires 0 <= l <= t, got l={l}")
-    if not min_k(t) <= k <= t:
-        raise ParameterError(
-            f"s_kl formula is only valid for k in [{min_k(t)}, {t}], got k={k}; "
-            "use s_kl_oracle for general k"
-        )
+    check_range(t, "k", k)
     lo = max(0, _ceil_div(k + l - t // 2, 2))
     return sum(binomial(l, x) * binomial(t - l, k - x) for x in range(lo, k + 1))
 
@@ -71,8 +73,7 @@ def s_kl_row(t: int, k: int) -> list[int]:
     """
     if t < 1:
         raise ParameterError("s_kl_row requires t >= 1")
-    if not min_k(t) <= k <= t:
-        raise ParameterError(f"s_kl_row requires k in [{min_k(t)}, {t}], got k={k}")
+    check_range(t, "k", k)
     comb = math.comb
     row = []
     m, f = 0, comb(t, k)
@@ -102,14 +103,16 @@ def s_kl_oracle(t: int, k: int, l: int, voter_mask: int | None = None) -> int:
     """
     if t < 1:
         raise ParameterError("s_kl_oracle requires t >= 1")
-    if t > ORACLE_TOPIC_CAP:
+    if t > ENUMERATION_TOPIC_CAP:
         raise ResourceLimitError(
-            f"s_kl_oracle enumerates C(t, k) proposals; t={t} exceeds {ORACLE_TOPIC_CAP}"
+            f"s_kl_oracle enumerates C(t, k) proposals; t={t} exceeds {ENUMERATION_TOPIC_CAP}"
         )
     if not 0 <= k <= t or not 0 <= l <= t:
         raise ParameterError("s_kl_oracle requires 0 <= k, l <= t")
     if voter_mask is None:
         voter_mask = (1 << l) - 1
+    elif not 0 <= voter_mask < 1 << t:
+        raise ParameterError(f"voter_mask must lie in [0, 2^{t}), got {voter_mask}")
     elif voter_mask.bit_count() != l:
         raise ParameterError("voter_mask is not an l-voter")
     threshold = support_threshold(t)

@@ -6,12 +6,12 @@ on them are therefore independent of the (often huge) nominal voter count.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 from .bounds import rt_analytic_upper
-from .combinatorics import binomial, min_k
+from .combinatorics import binomial, check_range, min_k
 from .core import (
+    ENUMERATION_TOPIC_CAP,
     ParameterError,
     ResourceLimitError,
     TypeProfile,
@@ -21,7 +21,6 @@ from .core import (
 )
 from .lpsolve import SupportRows
 
-VLP_TOPIC_CAP = 20
 THEOREM3_K_LIMIT = 200  # largest k theorem3_proof_parameters scans
 
 
@@ -126,8 +125,7 @@ def lemma7_matrix(t: int, w: int, n: int) -> VoterMatrix:
     outside the top block have an N-majority for odd n, so the matrix is not
     canonical there).
     """
-    if not min_k(t) <= w <= t:
-        raise ParameterError(f"lemma7_matrix requires {min_k(t)} <= w <= {t}")
+    check_range(t, "w", w)
     if n < 1:
         raise ParameterError("lemma7_matrix requires n >= 1")
     a = w - min_k(t)
@@ -148,12 +146,12 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     primal check on its rows 2 sum_l s_kl v_l <= C(t, k), so a boundary
     profile is accepted with supporter weight exactly 1/2.
     """
-    if t > VLP_TOPIC_CAP:
-        raise ResourceLimitError(f"vlp_matrix materializes up to 2^t rows; t > {VLP_TOPIC_CAP}")
+    if t > ENUMERATION_TOPIC_CAP:
+        cap = ENUMERATION_TOPIC_CAP
+        raise ResourceLimitError(f"vlp_matrix materializes up to 2^t rows; t > {cap}")
     if profile.t != t:
         raise ParameterError(f"profile covers {profile.t} topics, expected {t}")
-    if not min_k(t) <= w <= t:
-        raise ParameterError(f"vlp_matrix requires {min_k(t)} <= w <= {t}")
+    check_range(t, "w", w)
     cut, _ = SupportRows.build(t, w).primal_check(dict(enumerate(profile.fractions)))
     if cut is not None:
         raise ParameterError(f"profile infeasible: k-proposal support exceeds half at k={cut}")

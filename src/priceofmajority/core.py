@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 MAX_TOPICS = 64
+ENUMERATION_TOPIC_CAP = 20  # largest t of a call that enumerates or materialises up to 2^t items
 
 Weight = Union[int, Fraction]
 
@@ -136,12 +137,12 @@ class VoterMatrix:
 
     def __post_init__(self):
         _check_topics(self.t)
+        object.__setattr__(self, "rows", tuple(self.rows))  # before the checks read them
         if not self.rows:
             raise ParameterError("voter matrix needs at least one row")
         for index, row in enumerate(self.rows):
             if row.t != self.t:
                 raise ShapeError(f"row has {row.t} topics but the matrix has {self.t}", index)
-        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "n", sum(r.weight for r in self.rows))
 
     @classmethod

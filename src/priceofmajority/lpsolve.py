@@ -77,7 +77,9 @@ exact reduced costs are integers; each round reads the basic values as
 Fractions for the primal check, which clears them to integers over one
 denominator, and the returned :class:`LpSolution` holds Fractions. The
 float results (:func:`solve_ma_float`, ``ma_table(t, exact=False)``) are
-these certified optima cast to float; there is no second solver.
+these certified optima cast to float; there is no second solver. The closed
+forms of ma_t live in :mod:`.bounds`, and the range of w is
+:func:`.combinatorics.check_range`'s.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from math import gcd, inf, lcm
 
 import numpy as np
 
-from .combinatorics import binomial, min_k, s_kl_row
+from .combinatorics import binomial, check_range, min_k, s_kl_row
 from .core import ParameterError, ResourceLimitError, TypeProfile
 
 _rational = Fraction  # number type of exact results, recorded by environment reports
@@ -109,33 +111,11 @@ class LpSolution:
     residual: float = 0.0  # max constraint violation; 0.0, as every optimum is certified
 
 
-def _check_w(t: int, w: int) -> None:
-    if not min_k(t) <= w <= t:
-        raise ParameterError(f"w must lie in [{min_k(t)}, {t}], got {w}")
-
-
 def _check_t(t: int, caller: str) -> None:
     if t < 1:
         raise ParameterError(f"{caller} requires t >= 1, got {t}")
     if t > EXACT_T_CAP:
         raise ResourceLimitError(f"ma_t(w) is solved up to t={EXACT_T_CAP}, got t={t}")
-
-
-def ma_closed_form_full(t: int) -> Fraction:
-    """ma_t(t) = 1/2 + floor((t-1)/2)/(2t); below 3/4 for every t.
-
-    An average majority above this forces majority support for the all-Y
-    proposal, which is the Rule of Three-Fourths in sharpened form.
-    """
-    if t < 1:
-        raise ParameterError(f"ma_closed_form_full requires t >= 1, got {t}")
-    return Fraction(1, 2) + Fraction((t - 1) // 2, 2 * t)
-
-
-def ma_linear_lower(t: int, w: int) -> Fraction:
-    """Linear lower bound ma_t(w) >= w/(2t) + floor((t-1)/2)/(2t); tight at w = t."""
-    _check_w(t, w)
-    return Fraction(w, 2 * t) + Fraction((t - 1) // 2, 2 * t)
 
 
 def _float_rows(ints) -> np.ndarray:
@@ -542,7 +522,7 @@ def _lemma7_certificate(rows: SupportRows):
 def solve_ma(t: int, w: int) -> LpSolution:
     """Exact optimum of the ma_t(w) LP."""
     _check_t(t, "solve_ma")
-    _check_w(t, w)
+    check_range(t, "w", w)
     x, value, active, pivots, _ = _working_set_solve(SupportRows.build(t, w), (w,), (t,))
     fractions = [Fraction(0)] * (t + 1)
     for l, v in x.items():

@@ -15,8 +15,8 @@ _LINE = re.compile(r"^(?:(\d+)\s*x\s+)?([YN]+)$")
 
 
 class MatrixFormatError(ValueError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int | None = None):  # None: no one line
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -39,7 +39,7 @@ def parse_matrix(text: str) -> VoterMatrix:
             raise MatrixFormatError(str(exc), line_number) from exc
         line_numbers.append(line_number)
     if not rows:
-        raise MatrixFormatError("no voter rows found", 0)
+        raise MatrixFormatError("no voter rows found")
     try:  # the matrix owns the shape rule: every row has the first row's topics
         return VoterMatrix(rows[0].t, tuple(rows))
     except ShapeError as exc:

@@ -35,6 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (
+    ENUMERATION_TOPIC_CAP,
     ParameterError,
     Proposal,
     ResourceLimitError,
@@ -73,13 +74,14 @@ def _check_cap(matrix: VoterMatrix, max_topics: int | None) -> None:
 def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
-    Intended for small t (hard limit 20); the level search below should be
+    Intended for small t (hard limit ENUMERATION_TOPIC_CAP); the level search below should be
     used for anything larger. Values are in the matrix's own weight units:
     ints for an integer matrix as they are, otherwise each distinct integer
     sum is converted to a Fraction once and shared by its masks.
     """
-    if matrix.t > 20:
-        raise ResourceLimitError("proposal_stats materializes 2^t values; t > 20")
+    if matrix.t > ENUMERATION_TOPIC_CAP:
+        cap = ENUMERATION_TOPIC_CAP
+        raise ResourceLimitError(f"proposal_stats materializes 2^t values; t > {cap}")
     scaled, unit, dtype = _integer(matrix)
     masks = np.arange(1 << matrix.t, dtype=np.int64)
     supp = _scan(scaled.rows, matrix.t, masks, dtype).tolist()

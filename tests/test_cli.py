@@ -124,11 +124,13 @@ class TestAnalyze:
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        # a bad opinion character, and bytes that are not UTF-8 text, named by file and line
+        # a bad opinion character, and bytes that are not UTF-8 text, named by file and line;
+        # after a byte-order mark, by the bad byte's own line and value
         for content, names in (
             (b"YNQ\n", ["line 1"]),
             (b"\xff\xfe\n", ["line 1", str(path)]),
             (b"YY\nN\xff\n", ["line 2", str(path)]),
+            (b"\xef\xbb\xbfYN\n\xff\n", ["line 2", str(path), "0xff"]),
         ):
             path.write_bytes(content)
             code, text = run(["analyze", str(path)])
@@ -137,6 +139,13 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert all(name in err for name in names), err
+
+    def test_byte_order_mark(self, tmp_path, intro_file):
+        # a leading UTF-8 BOM is stripped before decoding: same report as without it
+        path = tmp_path / "bom.txt"
+        with open(intro_file, "rb") as handle:
+            path.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert run(["analyze", str(path)]) == run(["analyze", intro_file])
 
     def test_resource_cap_exit_code(self, tmp_path, intro_file, capsys):
         path = tmp_path / "wide.txt"
@@ -226,7 +235,7 @@ class TestConstruct:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        options = [f"--{name}" for name in cli._CONSTRUCT_OPTIONS[argv[1]]]
+        options = [f"--{name}" for name in cli._CONSTRUCTS[argv[1]][1]]
         missing = [option for option in options if option not in argv]
         assert captured.err.splitlines()[-1].endswith("required: " + ", ".join(missing))
 
@@ -250,14 +259,14 @@ class TestConstruct:
         assert captured.err.startswith(f"usage: priceofmajority construct {argv[0]} ")
         assert captured.err.splitlines()[-1].endswith(f"unrecognized arguments: {foreign}")
 
-    @pytest.mark.parametrize("kind", list(cli._CONSTRUCT_OPTIONS))
+    @pytest.mark.parametrize("kind", list(cli._CONSTRUCTS))
     def test_kind_help_lists_its_options(self, kind, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["construct", kind, "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
         listed = set(re.findall(r"--(\w+)", text)) - {"help"}
-        assert listed == {*cli._CONSTRUCT_OPTIONS[kind], "out"}
+        assert listed == {*cli._CONSTRUCTS[kind][1], "out"}
         # every option line carries a help string after its metavar
         described = set(re.findall(r"^  --(\w+) [A-Z]+ +\S", text, re.MULTILINE))
         assert described == listed

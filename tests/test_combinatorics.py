@@ -1,6 +1,17 @@
 import pytest
 
-from priceofmajority import ParameterError, binomial, c_l, s_kl, s_kl_oracle
+from priceofmajority import (
+    ParameterError,
+    TypeProfile,
+    binomial,
+    c_l,
+    lemma7_matrix,
+    ma_linear_lower,
+    s_kl,
+    s_kl_oracle,
+    solve_ma,
+    vlp_matrix,
+)
 from priceofmajority.combinatorics import min_k, s_kl_row
 from priceofmajority.core import ResourceLimitError
 
@@ -34,6 +45,19 @@ class TestSkl:
     def test_k_below_range_rejected(self):
         with pytest.raises(ParameterError):
             s_kl(3, 1, 1)
+
+    def test_one_range_message(self):
+        # every k of s_kl and w of the ma LP is checked by check_range, with one message
+        for call, name in (
+            (lambda: s_kl(9, 4, 1), "k"),
+            (lambda: s_kl_row(9, 10), "k"),
+            (lambda: solve_ma(9, 4), "w"),
+            (lambda: ma_linear_lower(9, 10), "w"),
+            (lambda: lemma7_matrix(9, 4, 5), "w"),
+            (lambda: vlp_matrix(9, 4, TypeProfile((1,) + (0,) * 9)), "w"),
+        ):
+            with pytest.raises(ParameterError, match=rf"^{name} must lie in \[5, 9\], got "):
+                call()
 
     def test_full_voter_supports_everything(self):
         for t in range(1, 10):
@@ -98,6 +122,12 @@ class TestSklOracle:
                         mask = sum(1 << pos for pos in positions)
                         counts.add(s_kl_oracle(t, k, l, voter_mask=mask))
                     assert len(counts) == 1
+
+    @pytest.mark.parametrize("mask", [-2, 0b1000])
+    def test_mask_outside_the_topic_range(self, mask):
+        # both have one set bit as bit_count sees it, yet neither is a 3-topic 1-voter
+        with pytest.raises(ParameterError, match="^voter_mask must lie in"):
+            s_kl_oracle(3, 2, 1, voter_mask=mask)
 
 
 class TestCl:

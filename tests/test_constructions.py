@@ -6,7 +6,6 @@ from priceofmajority import (
     ParameterError,
     Proposal,
     TypeProfile,
-    VoterMatrix,
     column_tally,
     has_majority_support,
     lemma1_matrix,

@@ -20,7 +20,7 @@ from priceofmajority import (
     supports,
     type_profile,
 )
-from priceofmajority.core import is_canonical, parse_opinions, supporter_weight
+from priceofmajority.core import ShapeError, is_canonical, parse_opinions, supporter_weight
 from priceofmajority.sampling import random_matrix
 
 
@@ -263,6 +263,15 @@ class TestValidation:
     def test_topic_cap(self):
         with pytest.raises(ParameterError):
             Proposal(0, 65)
+
+    @pytest.mark.parametrize("wrap", [list, iter], ids=["list", "generator"])
+    def test_rows_from_an_iterable(self, wrap):
+        rows = [VoterRow(0b011, 3), VoterRow(0b110, 3, 2)]
+        matrix = VoterMatrix(3, wrap(rows))
+        assert matrix.rows == tuple(rows)
+        assert matrix.n == 3
+        with pytest.raises(ShapeError):
+            VoterMatrix(3, wrap([*rows, VoterRow(0b1, 2)]))
 
     def test_empty_matrix(self):
         with pytest.raises(ParameterError):

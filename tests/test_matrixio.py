@@ -51,8 +51,11 @@ class TestParse:
             parse_matrix("0x YN\n")
 
     def test_empty_input(self):
-        with pytest.raises(MatrixFormatError):
-            parse_matrix("# nothing but comments\n")
+        # such a text has no line at fault, and no line 0
+        for text in ("# nothing but comments\n", "", "\n\n"):
+            with pytest.raises(MatrixFormatError, match="^no voter rows found$") as info:
+                parse_matrix(text)
+            assert info.value.line_number is None
 
 
 class TestWrite:
