@@ -80,9 +80,9 @@ def cmd_analyze(args, out) -> int:
         f"flip_mask: {opinions_to_string(flip_mask, t)}",
     ]
     if args.metric in ("md", "both"):
-        report.append(f"md: {oracle.md_of(canonical, max_topics=args.max_t)}")
+        report.append(f"md: {oracle.md_of(canonical)}")
     if args.metric in ("matches", "both"):
-        result = oracle.best_representation(canonical, max_topics=args.max_t)
+        result = oracle.best_representation(canonical)
         big_r = absolute_representativeness(canonical, result.best_proposal)
         r_value = relative_representativeness(canonical, result.best_proposal)
         report += [
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="metrics of a voter matrix file")
     p.add_argument("matrix", help="path to a Y/N matrix file")
     p.add_argument("--metric", choices=["md", "matches", "both"], default="both")
-    p.add_argument("--max-t", type=int, default=None, dest="max_t")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="generate a worst-case matrix")

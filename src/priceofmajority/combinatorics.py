@@ -35,7 +35,9 @@ def min_k(t: int) -> int:
 
 
 def check_range(t: int, name: str, value: int) -> None:
-    """Raise ParameterError unless min_k(t) <= value <= t; ``name`` names the value."""
+    """Raise ParameterError unless t >= 1 and min_k(t) <= value <= t; ``name`` names the value."""
+    if t < 1:
+        raise ParameterError(f"t must be at least 1, got {t}")
     if not min_k(t) <= value <= t:
         raise ParameterError(f"{name} must lie in [{min_k(t)}, {t}], got {value}")
 
@@ -48,11 +50,9 @@ def s_kl(t: int, k: int, l: int) -> int:
     x >= ceil((k + l - floor(t/2)) / 2). :func:`s_kl_oracle` counts them for
     general k.
     """
-    if t < 1:
-        raise ParameterError("s_kl requires t >= 1")
+    check_range(t, "k", k)
     if not 0 <= l <= t:
         raise ParameterError(f"s_kl requires 0 <= l <= t, got l={l}")
-    check_range(t, "k", k)
     lo = max(0, _ceil_div(k + l - t // 2, 2))
     return sum(binomial(l, x) * binomial(t - l, k - x) for x in range(lo, k + 1))
 
@@ -71,8 +71,6 @@ def s_kl_row(t: int, k: int) -> list[int]:
     p = C(l, m) and q = C(t-l, k-m) move with (l, m) by one multiplication
     and one exact division each; a zero one is recomputed.
     """
-    if t < 1:
-        raise ParameterError("s_kl_row requires t >= 1")
     check_range(t, "k", k)
     comb = math.comb
     row = []

@@ -6,6 +6,7 @@ on them are therefore independent of the (often huge) nominal voter count.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .bounds import rt_analytic_upper
@@ -89,7 +90,7 @@ def theorem3_matrix(t: int, k: int, M: int) -> VoterMatrix:
     return matrix
 
 
-def theorem3_rv_bound(t: int, k: int, M: int) -> float:
+def theorem3_rv_bound(t: int, k: int, M: int) -> Fraction:
     """Provable bound on r_V of theorem3_matrix(t, k, M).
 
     No proposal with x + ceil((t+1)/2) or more Ys (x the largest top-voter
@@ -98,7 +99,7 @@ def theorem3_rv_bound(t: int, k: int, M: int) -> float:
     """
     n = 2 * k + 1
     x = -(-((M - k) * t) // (k + 1))
-    return 1 - ((t + 1) // 2 - x) * (2 * M - n) / (t * M)
+    return 1 - Fraction(((t + 1) // 2 - x) * (2 * M - n), t * M)
 
 
 def theorem3_proof_parameters(t: int) -> tuple[int, int]:

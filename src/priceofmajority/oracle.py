@@ -18,6 +18,10 @@ this, an O(rows*t) check may give the answer: ``md_of`` is t when all-Y has
 majority support, and ``best_representation`` returns the column-majority
 proposal when it has majority support.
 
+No t is refused: a level that must be scanned and holds more than
+``_SCAN_BUDGET`` = C(24, 12) masks or high halves raises ResourceLimitError
+before it allocates, so any level can be scanned at t <= 24 and none at t > 42.
+
 Rational weights are scaled to integers by their common denominator and
 results are mapped back to the matrix's units, once per distinct value; sums
 are int64 while the scaled n*t < 2^62 and Python ints (``dtype=object``)
@@ -31,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 import numpy as np
 
 from .core import (
     ENUMERATION_TOPIC_CAP,
-    ParameterError,
     Proposal,
     ResourceLimitError,
     VoterMatrix,
@@ -49,9 +53,8 @@ from .core import (
 )
 from .matrixio import scale_to_integer_weights
 
-DEFAULT_TOPIC_CAP = 24
-HARD_TOPIC_CAP = 30
 _CHUNK = 1 << 20
+_SCAN_BUDGET = comb(24, 12)  # most masks of a scanned level, and most high halves
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,6 @@ class OracleResult:
     best_proposal: Proposal
     value: object
     supporter_weight: object
-
-
-def _check_cap(matrix: VoterMatrix, max_topics: int | None) -> None:
-    cap = DEFAULT_TOPIC_CAP if max_topics is None else max_topics
-    if cap > HARD_TOPIC_CAP:
-        raise ParameterError(f"topic cap cannot exceed {HARD_TOPIC_CAP}")
-    if matrix.t > cap:
-        raise ResourceLimitError(
-            f"enumeration over 2^{matrix.t} proposals exceeds the cap of {cap} topics"
-        )
 
 
 def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
@@ -134,12 +127,19 @@ def _level(matrix: VoterMatrix, k: int, dtype):
     """Yield (masks, supporter weights) of level k in blocks, each a run of high
     halves with k - j ones joined to every low half (the low h = t // 2 bits)
     with j ones: at most ``_CHUNK`` masks while ``_CHUNK`` >= C(h, h // 2).
-    Nothing is yielded when the voters that can reach level k weigh under n/2."""
+    Nothing is yielded when the voters that can reach level k weigh under n/2;
+    a level with more than ``_SCAN_BUDGET`` masks or high halves raises
+    ResourceLimitError instead."""
     t, h = matrix.t, matrix.t // 2
     reach = t - support_threshold(t)
     near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= reach]
     if 2 * sum(r.weight for r in near) < matrix.n:
         return
+    size = max(comb(t, k), 1 << (t - h))
+    if size > _SCAN_BUDGET:
+        raise ResourceLimitError(
+            f"scanning level {k} of {t} topics needs {size} masks; the budget is {_SCAN_BUDGET}"
+        )
     masks = np.arange(1 << (t - h), dtype=np.int64)  # t - h >= h bits
     counts = np.bitwise_count(masks)
     for j in range(max(0, k - t + h), min(h, k) + 1):
@@ -164,15 +164,15 @@ def _ceilings(ys, n) -> tuple[list[int], list]:
     return ceiling, most
 
 
-def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
+def md_of(matrix: VoterMatrix) -> int:
     """Maximum Y-count over all majority-supported proposals.
 
     Returns t without scanning when the all-Y proposal has majority support.
     Otherwise it walks the levels from t - 1 down and returns the first whose
     ceiling (see ``_ceilings``) has majority support or whose scan finds a
-    supported mask; a scan stops at its first block that holds one.
+    supported mask; a scan stops at its first block that holds one, and a
+    scan over the budget (see ``_level``) raises ResourceLimitError.
     """
-    _check_cap(matrix, max_topics)
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
@@ -186,9 +186,7 @@ def md_of(matrix: VoterMatrix, max_topics: int | None = None) -> int:
     raise AssertionError("no majority-supported proposal; pair-support violated")
 
 
-def best_representation(
-    matrix: VoterMatrix, max_topics: int | None = None
-) -> OracleResult:
+def best_representation(matrix: VoterMatrix) -> OracleResult:
     """Majority-supported proposal maximizing the match count.
 
     Ties are broken toward the larger Y-count, then the lexicographically
@@ -200,9 +198,9 @@ def best_representation(
     levels are visited best first, by the matches of their ceilings (see
     ``_ceilings``) and then their Y-counts, and the walk stops at the first
     level that cannot beat the best found; a level whose ceiling has majority
-    support is won by it, which ends the walk, and any other is scanned.
+    support is won by it, which ends the walk, and any other is scanned (or,
+    over the budget of ``_level``, raises ResourceLimitError).
     """
-    _check_cap(matrix, max_topics)
     scaled, unit, dtype = _integer(matrix)
     t, n = scaled.t, scaled.n
     ys = column_tally(scaled).y_weights

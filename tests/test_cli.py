@@ -147,24 +147,25 @@ class TestAnalyze:
             path.write_bytes(b"\xef\xbb\xbf" + handle.read())
         assert run(["analyze", str(path)]) == run(["analyze", intro_file])
 
-    def test_resource_cap_exit_code(self, tmp_path, intro_file, capsys):
-        path = tmp_path / "wide.txt"
-        path.write_text("Y" * 40 + "\n")
-        # one case per rejection: the default cap, a cap below t, a cap above the hard cap
-        for argv in ([str(path)], [intro_file, "--max-t", "3"], [intro_file, "--max-t", "31"]):
-            code, text = run(["analyze", *argv])
-            assert code == 3
-            assert text == ""
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_max_t_lifts_the_default_cap(self, tmp_path):
+    def test_resource_cap_exit_code(self, tmp_path, capsys):
+        # level 15 of this t = 26 matrix must be scanned and is over the oracle's
+        # budget; an all-Y voter of t = 25 is answered by the short-cut
+        t = 26
+        lines = ["N" * i + "Y" + "N" * (t - 1 - i) for i in range(24)]
+        lines += ["N" * 24 + "YY", "24x " + "Y" * t]
+        path = tmp_path / "scan26.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run(["analyze", str(path)])
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "level 15 of 26 topics" in err
         path = tmp_path / "wide.txt"
         path.write_text("Y" * 25 + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["analyze", str(path)]) == (3, "")
-            code, text = run(["analyze", str(path), "--max-t", "25"])
+            code, text = run(["analyze", str(path)])
         assert code == 0
         assert "md: 25\n" in text
 

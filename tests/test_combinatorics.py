@@ -58,6 +58,17 @@ class TestSkl:
         ):
             with pytest.raises(ParameterError, match=rf"^{name} must lie in \[5, 9\], got "):
                 call()
+        # t < 1 is named as such, not as an empty range of k or w (solve_ma checks
+        # t against both of its limits first, in its own message)
+        for call in (
+            lambda: s_kl(0, 1, 0),
+            lambda: s_kl_row(0, 1),
+            lambda: ma_linear_lower(0, 1),
+            lambda: lemma7_matrix(0, 1, 1),
+            lambda: vlp_matrix(0, 1, TypeProfile((1,))),
+        ):
+            with pytest.raises(ParameterError, match=r"^t must be at least 1, got 0$"):
+                call()
 
     def test_full_voter_supports_everything(self):
         for t in range(1, 10):

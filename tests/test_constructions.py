@@ -109,10 +109,10 @@ class TestTheorem3:
             theorem3_matrix(5, 4, 10)
 
     def test_rv_bound_holds_for_prescribed_parameters(self):
-        for t in (3, 5, 7, 9):
+        for t in range(3, 65):
             k, M = theorem3_proof_parameters(t)
             matrix = theorem3_matrix(t, k, M)
-            assert float(r_V(matrix)) <= theorem3_rv_bound(t, k, M) + 1e-12
+            assert r_V(matrix) == theorem3_rv_bound(t, k, M)
 
 
 class TestLemma7:

@@ -46,8 +46,11 @@ class TestMdOf:
         assert md_of(intro_matrix) == 6
 
     def test_lemma1_matrices_are_tight(self):
-        for t in range(1, 11):
-            assert md_of(lemma1_matrix(t)) == (t + 2) // 2
+        # no level is scanned: a short-cut, a ceiling or reach decides each one
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            for t in range(1, 65):
+                assert md_of(lemma1_matrix(t)) == (t + 2) // 2
+        assert not scan.called
 
     def test_single_all_y_voter(self):
         for t in (1, 4, 9):
@@ -61,16 +64,35 @@ class TestMdOf:
             assert md_of(matrix) >= (matrix.t + 2) // 2
 
     def test_resource_cap(self):
-        matrix = VoterMatrix(30, (VoterRow(0, 30),))
-        with pytest.raises(ResourceLimitError):
-            md_of(matrix)
-
-    def test_resource_cap_checked_before_short_cuts(self):
-        # all-Y is supported here, so only the cap stands between it and an answer
-        matrix = VoterMatrix(30, (VoterRow((1 << 30) - 1, 30),))
+        # the scan22 matrix of the CLI checks at t = 26: level 15's ceiling lacks
+        # support and the level holds C(26, 15) masks, over the budget C(24, 12);
+        # both calls refuse it before any mask array is allocated
+        t = 26
+        rows = [VoterRow(1 << i, t) for i in range(24)]
+        rows += [VoterRow(0b11 << 24, t), VoterRow((1 << t) - 1, t, 24)]
+        matrix = VoterMatrix(t, tuple(rows))
+        message = rf"^scanning level 15 of 26 topics needs {comb(26, 15)} masks; the budget is "
         for fn in (md_of, best_representation):
-            with pytest.raises(ResourceLimitError):
-                fn(matrix)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=message):
+                    fn(matrix)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20
+
+    def test_short_cuts_need_no_scan_at_30_topics(self):
+        # one voter of t = 30: all-N supports the column-majority proposal (itself)
+        # and every mask with at most 15 Ys, all-Y supports itself; no mask is scanned
+        for mask, md in ((0, 15), ((1 << 30) - 1, 30)):
+            matrix = VoterMatrix(30, (VoterRow(mask, 30),))
+            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+                result = best_representation(matrix)
+                assert md_of(matrix) == md
+            assert not scan.called
+            assert result.best_proposal.mask == mask
+            assert (result.value, result.supporter_weight) == (30, 1)
 
 
 class TestBestRepresentation:
