@@ -53,8 +53,6 @@ def ma_closed_form_full(t: int) -> Fraction:
     An average majority above this forces majority support for the all-Y
     proposal, which is the Rule of Three-Fourths in sharpened form.
     """
-    if t < 1:
-        raise ParameterError(f"ma_closed_form_full requires t >= 1, got {t}")
     return ma_linear_lower(t, t)
 
 

@@ -20,11 +20,12 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import constructions, lpsolve, matrixio, oracle, verify
 from .core import (
-    ENUMERATION_TOPIC_CAP,
     ParameterError,
     ResourceLimitError,
     absolute_representativeness,
     canonicalize,
+    check_enumeration,
+    check_topics,
     column_tally,
     opinions_to_string,
     relative_representativeness,
@@ -140,10 +141,7 @@ def cmd_construct(args, out) -> int:
     options = {name: getattr(args, name) for name in _CONSTRUCTS[kind][1]}
     header = " ".join([kind, *(f"{name}={value}" for name, value in options.items())])
     if kind == "vlp":
-        if args.t > ENUMERATION_TOPIC_CAP:
-            raise ResourceLimitError(
-                f"construct vlp materializes up to 2^t rows; t > {ENUMERATION_TOPIC_CAP}"
-            )
+        check_enumeration(args.t, "construct vlp")  # before the LP is solved
         solution = lpsolve.solve_ma(args.t, args.w)
         options["profile"] = solution.profile
         header += f" ma={solution.ma}"
@@ -195,7 +193,8 @@ def _t_range(spec: str) -> list[int]:
 
 def cmd_bounds(args, out) -> int:
     ts = _t_range(args.t_range) if args.t_range else [args.t]
-    if not 1 <= ts[0] <= ts[-1] <= lpsolve.EXACT_T_CAP:  # checked before any row is solved
+    check_topics(ts[0])  # both ends are checked before any row is solved
+    if ts[-1] > lpsolve.EXACT_T_CAP:
         cap = lpsolve.EXACT_T_CAP
         raise ParameterError(f"t must lie in [1, {cap}], got {args.t_range or args.t}")
     header = ["t", "lower", "upper", "analytic_upper"]

@@ -5,7 +5,8 @@ count is well-defined because permuting topics maps l-voters onto each other
 while leaving the set of k-proposals invariant. The closed formula is only
 valid for k >= ceil((t+1)/2); :func:`s_kl_oracle` enumerates directly and
 works for every k (at exponential cost). :func:`check_range` owns the range
-ceil((t+1)/2) <= k <= t, shared by the ma LP's w.
+ceil((t+1)/2) <= k <= t, shared by the ma LP's w; t >= 1 is
+:func:`.core.check_topics`'s, and the 2^t cap :func:`.core.check_enumeration`'s.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .core import ENUMERATION_TOPIC_CAP, ParameterError, ResourceLimitError, support_threshold
+from .core import ParameterError, check_enumeration, check_topics, support_threshold
 
 
 def binomial(n: int, k: int) -> int:
@@ -36,8 +37,7 @@ def min_k(t: int) -> int:
 
 def check_range(t: int, name: str, value: int) -> None:
     """Raise ParameterError unless t >= 1 and min_k(t) <= value <= t; ``name`` names the value."""
-    if t < 1:
-        raise ParameterError(f"t must be at least 1, got {t}")
+    check_topics(t)
     if not min_k(t) <= value <= t:
         raise ParameterError(f"{name} must lie in [{min_k(t)}, {t}], got {value}")
 
@@ -99,12 +99,8 @@ def s_kl_oracle(t: int, k: int, l: int, voter_mask: int | None = None) -> int:
     Defaults to the l-voter Y^l N^(t-l); any other l-voter mask can be passed
     to exercise the permutation invariance.
     """
-    if t < 1:
-        raise ParameterError("s_kl_oracle requires t >= 1")
-    if t > ENUMERATION_TOPIC_CAP:
-        raise ResourceLimitError(
-            f"s_kl_oracle enumerates C(t, k) proposals; t={t} exceeds {ENUMERATION_TOPIC_CAP}"
-        )
+    check_topics(t)
+    check_enumeration(t, "s_kl_oracle")
     if not 0 <= k <= t or not 0 <= l <= t:
         raise ParameterError("s_kl_oracle requires 0 <= k, l <= t")
     if voter_mask is None:

@@ -12,12 +12,11 @@ from itertools import combinations
 from .bounds import rt_analytic_upper
 from .combinatorics import binomial, check_range, min_k
 from .core import (
-    ENUMERATION_TOPIC_CAP,
     ParameterError,
-    ResourceLimitError,
     TypeProfile,
     VoterMatrix,
     VoterRow,
+    check_enumeration,
     column_tally,
 )
 from .lpsolve import SupportRows
@@ -32,8 +31,6 @@ def lemma1_matrix(t: int) -> VoterMatrix:
     proposal can side with more than ceil((t+1)/2) majorities: the tight
     worst case for counting majority decisions.
     """
-    if t < 1:
-        raise ParameterError("lemma1_matrix requires t >= 1")
     rows = [VoterRow(1 << i, t) for i in range(t)]
     if t > 1:
         rows.append(VoterRow((1 << t) - 1, t, t - 1))
@@ -65,8 +62,6 @@ def theorem3_matrix(t: int, k: int, M: int) -> VoterMatrix:
     the top k+1 voters round-robin over the columns, so every column gets
     exactly M - k of them and row counts differ by at most one.
     """
-    if t < 1:
-        raise ParameterError("theorem3_matrix requires t >= 1")
     n = 2 * k + 1
     if not k + 1 <= M <= n:
         raise ParameterError(f"theorem3_matrix requires k+1 <= M <= 2k+1, got M={M}")
@@ -107,7 +102,10 @@ def theorem3_proof_parameters(t: int) -> tuple[int, int]:
 
     Scans k upward (M over its full range per k), mirroring the proof's
     "k and M sufficiently large with M/k near sqrt(3/2)" prescription but
-    returning concrete parameters usable at brute-force scale.
+    returning concrete parameters usable at brute-force scale. Measured reach of
+    THEOREM3_K_LIMIT: parameters exist for every t <= 466; t = 467 is the first
+    that raises, a few t up to 506 (486, for one) still have them, and every t
+    from 507 to at least 699 raises.
     """
     target = rt_analytic_upper(t)
     for k in range(2, THEOREM3_K_LIMIT + 1):
@@ -147,9 +145,7 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     primal check on its rows 2 sum_l s_kl v_l <= C(t, k), so a boundary
     profile is accepted with supporter weight exactly 1/2.
     """
-    if t > ENUMERATION_TOPIC_CAP:
-        cap = ENUMERATION_TOPIC_CAP
-        raise ResourceLimitError(f"vlp_matrix materializes up to 2^t rows; t > {cap}")
+    check_enumeration(t, "vlp_matrix")
     if profile.t != t:
         raise ParameterError(f"profile covers {profile.t} topics, expected {t}")
     check_range(t, "w", w)

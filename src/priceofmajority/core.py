@@ -1,10 +1,10 @@
 """Domain model for multi-topic binary voting.
 
 Voters and proposals are vectors of binary opinions (Y/N) over ``t`` topics,
-stored as bitmasks with Y=1 (bit ``i`` is topic ``i+1``). A voter matrix is a
-weighted multiset of voter rows; all quantities defined here depend only on
-that multiset, so ``w`` identical rows and one row with weight ``w`` are
-interchangeable.
+stored as bitmasks with Y=1 (bit ``i`` is topic ``i+1``); masks are Python
+ints, so t has no width limit. A voter matrix is a weighted multiset of
+voter rows; all quantities defined here depend only on that multiset, so
+``w`` identical rows and one row with weight ``w`` are interchangeable.
 
 All types are immutable and all operations are pure functions, so values can
 be freely shared between threads.
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-MAX_TOPICS = 64
 ENUMERATION_TOPIC_CAP = 20  # largest t of a call that enumerates or materialises up to 2^t items
 
 Weight = Union[int, Fraction]
@@ -53,11 +52,19 @@ def opinions_to_string(mask: int, t: int) -> str:
     return "".join("Y" if mask >> i & 1 else "N" for i in range(t))
 
 
-def _check_topics(t: int) -> None:
+def check_topics(t: int) -> None:
+    """Raise ParameterError unless t >= 1: the one owner of that rule."""
     if t < 1:
-        raise ParameterError("topic count must be >= 1")
-    if t > MAX_TOPICS:
-        raise ParameterError(f"topic count {t} exceeds the bitmask limit of {MAX_TOPICS}")
+        raise ParameterError(f"t must be at least 1, got {t}")
+
+
+def check_enumeration(t: int, what: str) -> None:
+    """Raise ResourceLimitError when t > ENUMERATION_TOPIC_CAP; ``what`` names the
+    call that would enumerate or materialise up to 2^t items."""
+    if t > ENUMERATION_TOPIC_CAP:
+        raise ResourceLimitError(
+            f"{what} enumerates up to 2^t items; t={t} exceeds {ENUMERATION_TOPIC_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class OpinionVector:
     _noun = "opinion"  # names the vector in its error messages
 
     def __post_init__(self):
-        _check_topics(self.t)
+        check_topics(self.t)
         if not 0 <= self.mask < 1 << self.t:
             raise ParameterError(f"{self._noun} mask has bits outside the topic range")
 
@@ -136,7 +143,7 @@ class VoterMatrix:
     n: Weight = field(init=False)
 
     def __post_init__(self):
-        _check_topics(self.t)
+        check_topics(self.t)
         object.__setattr__(self, "rows", tuple(self.rows))  # before the checks read them
         if not self.rows:
             raise ParameterError("voter matrix needs at least one row")

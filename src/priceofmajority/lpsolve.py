@@ -91,7 +91,7 @@ from math import gcd, inf, lcm
 import numpy as np
 
 from .combinatorics import binomial, check_range, min_k, s_kl_row
-from .core import ParameterError, ResourceLimitError, TypeProfile
+from .core import ResourceLimitError, TypeProfile, check_topics
 
 _rational = Fraction  # number type of exact results, recorded by environment reports
 
@@ -111,9 +111,8 @@ class LpSolution:
     residual: float = 0.0  # max constraint violation; 0.0, as every optimum is certified
 
 
-def _check_t(t: int, caller: str) -> None:
-    if t < 1:
-        raise ParameterError(f"{caller} requires t >= 1, got {t}")
+def _check_t(t: int) -> None:
+    check_topics(t)
     if t > EXACT_T_CAP:
         raise ResourceLimitError(f"ma_t(w) is solved up to t={EXACT_T_CAP}, got t={t}")
 
@@ -521,7 +520,7 @@ def _lemma7_certificate(rows: SupportRows):
 
 def solve_ma(t: int, w: int) -> LpSolution:
     """Exact optimum of the ma_t(w) LP."""
-    _check_t(t, "solve_ma")
+    _check_t(t)
     check_range(t, "w", w)
     x, value, active, pivots, _ = _working_set_solve(SupportRows.build(t, w), (w,), (t,))
     fractions = [Fraction(0)] * (t + 1)
@@ -554,7 +553,7 @@ def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:
     """
     if not exact:
         return [(w, float(ma)) for w, ma in ma_table(t)]
-    _check_t(t, "ma_table")
+    _check_t(t)
     w0 = min_k(t)
     rows = SupportRows.build(t, w0)
     table = []

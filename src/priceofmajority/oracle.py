@@ -40,10 +40,10 @@ from math import comb
 import numpy as np
 
 from .core import (
-    ENUMERATION_TOPIC_CAP,
     Proposal,
     ResourceLimitError,
     VoterMatrix,
+    check_enumeration,
     column_tally,
     has_majority_support,
     matches,
@@ -72,9 +72,7 @@ def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     ints for an integer matrix as they are, otherwise each distinct integer
     sum is converted to a Fraction once and shared by its masks.
     """
-    if matrix.t > ENUMERATION_TOPIC_CAP:
-        cap = ENUMERATION_TOPIC_CAP
-        raise ResourceLimitError(f"proposal_stats materializes 2^t values; t > {cap}")
+    check_enumeration(matrix.t, "proposal_stats")
     scaled, unit, dtype = _integer(matrix)
     masks = np.arange(1 << matrix.t, dtype=np.int64)
     supp = _scan(scaled.rows, matrix.t, masks, dtype).tolist()

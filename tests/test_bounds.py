@@ -27,7 +27,7 @@ class TestClosedForms:
         assert ma_closed_form_full(t) == expected
 
     def test_nonpositive_t_named(self):
-        with pytest.raises(ParameterError, match=r"^ma_closed_form_full requires t >= 1, got 0$"):
+        with pytest.raises(ParameterError, match=r"^t must be at least 1, got 0$"):
             ma_closed_form_full(0)
 
     def test_always_below_three_fourths(self):

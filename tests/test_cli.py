@@ -220,6 +220,19 @@ class TestConstruct:
         code, _ = run(["construct", "theorem3", "--t", "5", "--k", "4", "--M", "4"])
         assert code == 3
 
+    def test_vlp_enumeration_cap(self, monkeypatch, capsys):
+        # refused before the LP is solved
+        def no_solve(t, w):
+            raise AssertionError("solve_ma called before the 2^t cap was checked")
+
+        monkeypatch.setattr(lpsolve, "solve_ma", no_solve)
+        code, text = run(["construct", "vlp", "--t", "21", "--w", "11"])
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: construct vlp enumerates up to 2^t items; t=21 exceeds 20\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -367,7 +380,7 @@ class TestMa:
         code, text = run(["ma", "--t", "0", "--w", "1"])
         assert code == 3
         assert text == ""
-        assert capsys.readouterr().err == "error: solve_ma requires t >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: t must be at least 1, got 0\n"
 
 
 class TestBounds:

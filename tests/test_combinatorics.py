@@ -2,14 +2,20 @@ import pytest
 
 from priceofmajority import (
     ParameterError,
+    Proposal,
     TypeProfile,
+    VoterRow,
     binomial,
     c_l,
+    lemma1_matrix,
     lemma7_matrix,
+    ma_closed_form_full,
     ma_linear_lower,
+    ma_table,
     s_kl,
     s_kl_oracle,
     solve_ma,
+    theorem3_matrix,
     vlp_matrix,
 )
 from priceofmajority.combinatorics import min_k, s_kl_row
@@ -58,14 +64,22 @@ class TestSkl:
         ):
             with pytest.raises(ParameterError, match=rf"^{name} must lie in \[5, 9\], got "):
                 call()
-        # t < 1 is named as such, not as an empty range of k or w (solve_ma checks
-        # t against both of its limits first, in its own message)
+        # t < 1 is named as such, not as an empty range of k or w: every caller
+        # defers to core.check_topics
         for call in (
             lambda: s_kl(0, 1, 0),
             lambda: s_kl_row(0, 1),
             lambda: ma_linear_lower(0, 1),
             lambda: lemma7_matrix(0, 1, 1),
             lambda: vlp_matrix(0, 1, TypeProfile((1,))),
+            lambda: Proposal(0, 0),
+            lambda: VoterRow(0, 0),
+            lambda: lemma1_matrix(0),
+            lambda: theorem3_matrix(0, 1, 2),
+            lambda: s_kl_oracle(0, 0, 0),
+            lambda: ma_closed_form_full(0),
+            lambda: solve_ma(0, 1),
+            lambda: ma_table(0),
         ):
             with pytest.raises(ParameterError, match=r"^t must be at least 1, got 0$"):
                 call()
@@ -113,7 +127,8 @@ class TestSklOracle:
         assert s_kl_oracle(4, 2, 0) == 6
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
+        message = r"^s_kl_oracle enumerates up to 2\^t items; t=21 exceeds 20$"
+        with pytest.raises(ResourceLimitError, match=message):
             s_kl_oracle(21, 11, 3)
 
     def test_formula_agrees_with_enumeration(self):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from priceofmajority import (
     ParameterError,
     Proposal,
+    ResourceLimitError,
     TypeProfile,
     column_tally,
     has_majority_support,
@@ -17,6 +19,7 @@ from priceofmajority import (
     theorem3_matrix,
     vlp_matrix,
 )
+from priceofmajority import lpsolve, oracle
 from priceofmajority.constructions import (
     theorem3_proof_parameters,
     theorem3_rv_bound,
@@ -109,10 +112,21 @@ class TestTheorem3:
             theorem3_matrix(5, 4, 10)
 
     def test_rv_bound_holds_for_prescribed_parameters(self):
-        for t in range(3, 65):
-            k, M = theorem3_proof_parameters(t)
-            matrix = theorem3_matrix(t, k, M)
-            assert r_V(matrix) == theorem3_rv_bound(t, k, M)
+        # no mask is scanned, also past 64 topics, where the masks outgrow int64
+        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
+            for t in (*range(3, 65), 65, 101, 201):
+                k, M = theorem3_proof_parameters(t)
+                matrix = theorem3_matrix(t, k, M)
+                assert r_V(matrix) == theorem3_rv_bound(t, k, M)
+        assert not scan.called
+
+    def test_reach_of_the_k_limit(self):
+        # the docstring's measured reach of THEOREM3_K_LIMIT = 200
+        assert theorem3_proof_parameters(466) == (195, 240)
+        assert theorem3_proof_parameters(486) == (197, 241)
+        for t in (467, 487, 507):
+            with pytest.raises(ParameterError, match=rf"^no \(k, M\) .* for t={t}$"):
+                theorem3_proof_parameters(t)
 
 
 class TestLemma7:
@@ -147,6 +161,14 @@ class TestLemma7:
 
 
 class TestVlpMatrix:
+    def test_enumeration_cap(self):
+        # refused before any LP row is built
+        profile = TypeProfile((1,) + (0,) * 21)
+        with mock.patch.object(lpsolve.SupportRows, "build") as build:
+            with pytest.raises(ResourceLimitError, match=r"^vlp_matrix enumerates up to 2\^t "):
+                vlp_matrix(21, 11, profile)
+        assert not build.called
+
     def test_boundary_profile(self):
         fractions = [Fraction(0)] * 4
         fractions[1] = Fraction(1, 2)

@@ -21,6 +21,7 @@ from priceofmajority import (
     type_profile,
 )
 from priceofmajority.core import ShapeError, is_canonical, parse_opinions, supporter_weight
+from priceofmajority.matrixio import parse_matrix, write_matrix
 from priceofmajority.sampling import random_matrix
 
 
@@ -260,9 +261,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             VoterRow(0, 2, 0)
 
-    def test_topic_cap(self):
-        with pytest.raises(ParameterError):
-            Proposal(0, 65)
+    @pytest.mark.parametrize("t", [65, 200])
+    def test_no_topic_limit(self, t):
+        # masks of 2^64 and more are plain Python ints: no width limit applies
+        top = 1 << (t - 1)
+        assert top >= 1 << 64
+        assert Proposal(top | 1, t).ones_count == 2
+        with pytest.raises(ParameterError, match="^proposal mask has bits outside"):
+            Proposal(1 << t, t)
+        matrix = VoterMatrix(t, (VoterRow(top | 1, t), VoterRow((1 << t) - 1, t, 2)))
+        text = write_matrix(matrix)
+        assert "Y" + "N" * (t - 2) + "Y" in text
+        assert parse_matrix(text) == matrix
 
     @pytest.mark.parametrize("wrap", [list, iter], ids=["list", "generator"])
     def test_rows_from_an_iterable(self, wrap):

@@ -41,15 +41,38 @@ from priceofmajority.oracle import proposal_stats
 from priceofmajority.sampling import random_matrix
 
 
+def _assert_refused_before_allocation(t, level):
+    """t - 2 singletons, a YY voter on the last two topics and an all-Y block of
+    weight t - 2: both oracle calls refuse the scan of ``level``, with a tracemalloc
+    peak of at most 1 MiB."""
+    rows = [VoterRow(1 << i, t) for i in range(t - 2)]
+    rows += [VoterRow(0b11 << (t - 2), t), VoterRow((1 << t) - 1, t, t - 2)]
+    matrix = VoterMatrix(t, tuple(rows))
+    size = comb(t, level)
+    message = rf"^scanning level {level} of {t} topics needs {size} masks; the budget is "
+    for fn in (md_of, best_representation):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=message):
+                fn(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+
 class TestMdOf:
     def test_intro_matrix(self, intro_matrix):
         assert md_of(intro_matrix) == 6
 
     def test_lemma1_matrices_are_tight(self):
-        # no level is scanned: a short-cut, a ceiling or reach decides each one
+        # no level is scanned: a short-cut, a ceiling or reach decides each one,
+        # also past 64 topics, where the masks outgrow int64
         with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            for t in range(1, 65):
-                assert md_of(lemma1_matrix(t)) == (t + 2) // 2
+            for t in (*range(1, 65), 65, 100, 200, 1000):
+                matrix = lemma1_matrix(t)
+                assert md_of(matrix) == (t + 2) // 2
+                assert r_V(matrix) == 1 - Fraction((t - 1) // 2, t * t)
         assert not scan.called
 
     def test_single_all_y_voter(self):
@@ -67,20 +90,12 @@ class TestMdOf:
         # the scan22 matrix of the CLI checks at t = 26: level 15's ceiling lacks
         # support and the level holds C(26, 15) masks, over the budget C(24, 12);
         # both calls refuse it before any mask array is allocated
-        t = 26
-        rows = [VoterRow(1 << i, t) for i in range(24)]
-        rows += [VoterRow(0b11 << 24, t), VoterRow((1 << t) - 1, t, 24)]
-        matrix = VoterMatrix(t, tuple(rows))
-        message = rf"^scanning level 15 of 26 topics needs {comb(26, 15)} masks; the budget is "
-        for fn in (md_of, best_representation):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ResourceLimitError, match=message):
-                    fn(matrix)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2**20
+        _assert_refused_before_allocation(26, 15)
+
+    def test_resource_cap_past_64_topics(self):
+        # the same shape at t = 100 is refused at level 52 just as early, so no
+        # mask of 2^64 or more reaches numpy
+        _assert_refused_before_allocation(100, 52)
 
     def test_short_cuts_need_no_scan_at_30_topics(self):
         # one voter of t = 30: all-N supports the column-majority proposal (itself)
@@ -331,6 +346,11 @@ class TestAgainstBruteForce:
 
 
 class TestProposalStats:
+    def test_enumeration_cap(self):
+        matrix = lemma1_matrix(21)
+        with pytest.raises(ResourceLimitError, match=r"^proposal_stats enumerates up to 2\^t "):
+            proposal_stats(matrix)
+
     def test_pair_support_over_all_proposals(self):
         rng = random.Random(13)
         for _ in range(100):
