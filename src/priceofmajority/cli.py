@@ -194,9 +194,7 @@ def _t_range(spec: str) -> list[int]:
 def cmd_bounds(args, out) -> int:
     ts = _t_range(args.t_range) if args.t_range else [args.t]
     check_topics(ts[0])  # both ends are checked before any row is solved
-    if ts[-1] > lpsolve.EXACT_T_CAP:
-        cap = lpsolve.EXACT_T_CAP
-        raise ParameterError(f"t must lie in [1, {cap}], got {args.t_range or args.t}")
+    lpsolve.check_t(ts[-1])
     header = ["t", "lower", "upper", "analytic_upper"]
     rows = []
     for t in ts:

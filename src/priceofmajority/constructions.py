@@ -17,7 +17,6 @@ from .core import (
     VoterMatrix,
     VoterRow,
     check_enumeration,
-    column_tally,
 )
 from .lpsolve import SupportRows
 
@@ -80,7 +79,7 @@ def theorem3_matrix(t: int, k: int, M: int) -> VoterMatrix:
         rows.append(VoterRow((1 << t) - 1, t, k))
     matrix = VoterMatrix(t, tuple(rows))
     # cyclic dealing guarantees per-column balance; cheap to double-check
-    if any(y != M for y in column_tally(matrix).y_weights):
+    if any(y != M for y in matrix.y_weights):
         raise AssertionError("column balance violated in theorem3_matrix")
     return matrix
 

@@ -7,13 +7,16 @@ voter rows; all quantities defined here depend only on that multiset, so
 ``w`` identical rows and one row with weight ``w`` are interchangeable.
 
 All types are immutable and all operations are pure functions, so values can
-be freely shared between threads.
+be freely shared between threads. A matrix counts its column sums at most once,
+on their first read (:attr:`VoterMatrix.y_weights`); a concurrent first read
+computes the same value, so which thread stores it does not matter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 ENUMERATION_TOPIC_CAP = 20  # largest t of a call that enumerates or materialises up to 2^t items
@@ -37,15 +40,18 @@ class ResourceLimitError(RuntimeError):
     """The instance is too large for the requested (usually exhaustive) method."""
 
 
+_DELETE_YN = str.maketrans("", "", "YN")
+_Y_AS_BIT = str.maketrans("YN", "10")
+
+
 def parse_opinions(text: str) -> tuple[int, int]:
     """Parse a Y/N string into ``(mask, t)`` with Y=1 at bit ``i`` for topic ``i+1``."""
-    mask = 0
-    for i, ch in enumerate(text):
-        if ch == "Y":
-            mask |= 1 << i
-        elif ch != "N":
-            raise ParameterError(f"invalid opinion character {ch!r} (expected Y or N)")
-    return mask, len(text)
+    # validated first: int() would also take '_' and whitespace
+    rest = text.translate(_DELETE_YN)
+    if rest:
+        raise ParameterError(f"invalid opinion character {rest[0]!r} (expected Y or N)")
+    # topic 1 is the lowest bit, so the last character is the leading digit
+    return int(text[::-1].translate(_Y_AS_BIT) or "0", 2), len(text)
 
 
 def opinions_to_string(mask: int, t: int) -> str:
@@ -133,9 +139,11 @@ class VoterRow(OpinionVector):
 class VoterMatrix:
     """A weighted multiset of voter rows over ``t`` topics.
 
-    ``n`` is the total voter weight. In canonical form every column has
-    Y-weight >= N-weight (Y is the weak majority opinion on every topic);
-    see :func:`canonicalize`.
+    ``n`` is the total voter weight and ``y_weights`` the Y-weight of each
+    topic, counted on first read and then kept (not a field: equality, hash
+    and repr ignore it). In canonical form every column has Y-weight >=
+    N-weight (Y is the weak majority opinion on every topic); see
+    :func:`canonicalize`.
     """
 
     t: int
@@ -165,6 +173,23 @@ class VoterMatrix:
 
     def has_integer_weights(self) -> bool:
         return all(isinstance(r.weight, int) for r in self.rows)
+
+    @cached_property
+    def y_weights(self) -> tuple[Weight, ...]:
+        """Per-topic Y-weights; the matrix is frozen, so they never go stale."""
+        return _count_y_weights(self)
+
+
+def _count_y_weights(matrix: VoterMatrix) -> tuple[Weight, ...]:
+    """Sum each row's weight into the topics of its set bits: the one full count."""
+    tallies = [0] * matrix.t
+    for row in matrix.rows:
+        mask = row.mask
+        while mask:
+            low = mask & -mask
+            tallies[low.bit_length() - 1] += row.weight
+            mask ^= low
+    return tuple(tallies)
 
 
 @dataclass(frozen=True)
@@ -209,37 +234,34 @@ class TypeProfile:
 
 
 def column_tally(matrix: VoterMatrix) -> ColumnTally:
-    tallies = [0] * matrix.t
-    for row in matrix.rows:
-        mask = row.mask
-        while mask:
-            low = mask & -mask
-            tallies[low.bit_length() - 1] += row.weight
-            mask ^= low
-    return ColumnTally(tuple(tallies), matrix.n)
+    return ColumnTally(matrix.y_weights, matrix.n)
 
 
 def canonicalize(matrix: VoterMatrix) -> tuple[VoterMatrix, int]:
     """Flip every column whose Y-weight is below half, and report the flip mask.
 
     Tie columns (Y-weight exactly half) are not flipped. Applying the returned
-    flip mask again restores the input.
+    flip mask again restores the input. The result's Y-weights are mapped from
+    the input's (a flipped topic holds n - y), not counted again.
     """
-    tally = column_tally(matrix)
+    ys, n = matrix.y_weights, matrix.n
     flip_mask = 0
-    for i, y in enumerate(tally.y_weights):
-        if 2 * y < matrix.n:
+    for i, y in enumerate(ys):
+        if 2 * y < n:
             flip_mask |= 1 << i
     if flip_mask == 0:
         return matrix, 0
     rows = tuple(
         VoterRow(row.mask ^ flip_mask, row.t, row.weight) for row in matrix.rows
     )
-    return VoterMatrix(matrix.t, rows), flip_mask
+    canonical = VoterMatrix(matrix.t, rows)
+    # a list, not a generator: tuple() then sizes the result once
+    object.__setattr__(canonical, "y_weights", tuple([n - y if 2 * y < n else y for y in ys]))
+    return canonical, flip_mask
 
 
 def is_canonical(matrix: VoterMatrix) -> bool:
-    return all(2 * y >= matrix.n for y in column_tally(matrix).y_weights)
+    return all(2 * y >= matrix.n for y in matrix.y_weights)
 
 
 def agreements(voter_mask: int, proposal_mask: int, t: int) -> int:
@@ -302,7 +324,7 @@ def relative_representativeness(matrix: VoterMatrix, proposal: Proposal) -> Frac
     canonical input so that m_V is the average majority; equals 1 exactly
     for the all-Y proposal. Raises ParameterError when no column holds a Y.
     """
-    y_sum = sum(column_tally(matrix).y_weights)
+    y_sum = sum(matrix.y_weights)
     if y_sum == 0:
         raise ParameterError(
             "relative representativeness requires canonical input; no column holds a Y"

@@ -111,7 +111,8 @@ class LpSolution:
     residual: float = 0.0  # max constraint violation; 0.0, as every optimum is certified
 
 
-def _check_t(t: int) -> None:
+def check_t(t: int) -> None:
+    """Raise unless 1 <= t <= EXACT_T_CAP: the one owner of the largest t solved."""
     check_topics(t)
     if t > EXACT_T_CAP:
         raise ResourceLimitError(f"ma_t(w) is solved up to t={EXACT_T_CAP}, got t={t}")
@@ -520,7 +521,7 @@ def _lemma7_certificate(rows: SupportRows):
 
 def solve_ma(t: int, w: int) -> LpSolution:
     """Exact optimum of the ma_t(w) LP."""
-    _check_t(t)
+    check_t(t)
     check_range(t, "w", w)
     x, value, active, pivots, _ = _working_set_solve(SupportRows.build(t, w), (w,), (t,))
     fractions = [Fraction(0)] * (t + 1)
@@ -553,7 +554,7 @@ def ma_table(t: int, exact: bool = True) -> list[tuple[int, Fraction | float]]:
     """
     if not exact:
         return [(w, float(ma)) for w, ma in ma_table(t)]
-    _check_t(t)
+    check_t(t)
     w0 = min_k(t)
     rows = SupportRows.build(t, w0)
     table = []

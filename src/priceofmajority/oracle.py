@@ -76,7 +76,7 @@ def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
     scaled, unit, dtype = _integer(matrix)
     masks = np.arange(1 << matrix.t, dtype=np.int64)
     supp = _scan(scaled.rows, matrix.t, masks, dtype).tolist()
-    match = _matcher(column_tally(scaled).y_weights, scaled.n, dtype)(masks).tolist()
+    match = _matcher(scaled.y_weights, scaled.n, dtype)(masks).tolist()
     if scaled is matrix:  # integer weights: the sums are in the matrix's units already
         return supp, match
     return _in_units(supp, unit), _in_units(match, unit)
@@ -175,7 +175,7 @@ def md_of(matrix: VoterMatrix) -> int:
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
     scaled, _, dtype = _integer(matrix)
-    ceiling, _ = _ceilings(column_tally(scaled).y_weights, scaled.n)
+    ceiling, _ = _ceilings(scaled.y_weights, scaled.n)
     for k in range(t - 1, -1, -1):
         if has_majority_support(scaled, Proposal(ceiling[k], t)) or any(
             2 * supp.max() >= scaled.n for _, supp in _level(scaled, k, dtype)
@@ -201,13 +201,12 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
     """
     scaled, unit, dtype = _integer(matrix)
     t, n = scaled.t, scaled.n
-    ys = column_tally(scaled).y_weights
-    majority = Proposal(sum(1 << i for i, y in enumerate(ys) if 2 * y >= n), t)
+    majority = Proposal(sum(1 << i for i, y in enumerate(scaled.y_weights) if 2 * y >= n), t)
     supp = supporter_weight(scaled, majority)
     if 2 * supp >= n:
         value, mask = matches(scaled, majority), majority.mask
     else:
-        value, mask, supp = _best_by_scan(scaled, dtype, ys)
+        value, mask, supp = _best_by_scan(scaled, dtype)
     return OracleResult(
         best_proposal=Proposal(mask, t),
         value=value * unit,
@@ -215,10 +214,10 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
     )
 
 
-def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
+def _best_by_scan(matrix: VoterMatrix, dtype) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
     t, n = matrix.t, matrix.n
-    ceiling, most = _ceilings(ys, n)
+    ceiling, most = _ceilings(matrix.y_weights, n)
     best, match_of = (-1,), None  # (matches, ones, -mask, supporter weight), maximized
     for m, k in sorted(zip(most, range(t + 1)), reverse=True):
         if (m, k) < best[:2]:  # neither this level nor any after it can beat the best
@@ -228,7 +227,7 @@ def _best_by_scan(matrix: VoterMatrix, dtype, ys) -> tuple[int, int, int]:
             best = (m, k, -ceiling[k], supp)
             break
         for masks, supp in _level(matrix, k, dtype):
-            match_of = match_of or _matcher(ys, n, dtype)
+            match_of = match_of or _matcher(matrix.y_weights, n, dtype)
             match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
             top = np.flatnonzero(match == match.max())
             i = top[np.argmin(masks[top])]
@@ -259,7 +258,7 @@ def half_proposal(matrix: VoterMatrix) -> Proposal:
     Linear time on running match counts, no enumeration; requires canonical
     input.
     """
-    ys = column_tally(matrix).y_weights
+    ys = matrix.y_weights
     t, n = matrix.t, matrix.n
     matched = sum(n - y for y in ys)
     k = 0
@@ -280,8 +279,7 @@ def rule_of_three_fourths_check(matrix: VoterMatrix) -> bool:
     Vacuously true when the average majority is below 3/4; expected to hold
     for every canonical matrix.
     """
-    tally = column_tally(matrix)
-    if tally.m_V < Fraction(3, 4):
+    if column_tally(matrix).m_V < Fraction(3, 4):
         return True
     all_y = Proposal((1 << matrix.t) - 1, matrix.t)
     return has_majority_support(matrix, all_y)

@@ -420,6 +420,20 @@ class TestBounds:
         assert code == 3
         assert text == ""
 
+    def test_above_cap_reported_as_ma_reports_it(self, capsys):
+        # lpsolve.check_t owns the cap: one error line, the same for both commands
+        above = str(lpsolve.EXACT_T_CAP + 1)
+        errors = []
+        for argv in (
+            ["bounds", "--t-range", f"3:{above}"],
+            ["bounds", "--t", above],
+            ["ma", "--t", above],
+        ):
+            assert run(argv) == (3, "")
+            errors.append(capsys.readouterr().err)
+        expected = f"error: ma_t(w) is solved up to t={lpsolve.EXACT_T_CAP}, got t={above}\n"
+        assert errors == [expected] * 3
+
 
 class TestVerify:
     def test_small_suite_passes(self):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from priceofmajority import (
     supports,
     type_profile,
 )
-from priceofmajority.core import ShapeError, is_canonical, parse_opinions, supporter_weight
+from priceofmajority.core import (
+    ShapeError,
+    is_canonical,
+    opinions_to_string,
+    parse_opinions,
+    supporter_weight,
+)
 from priceofmajority.matrixio import parse_matrix, write_matrix
 from priceofmajority.sampling import random_matrix
 
@@ -32,6 +39,24 @@ def small_matrices():
     return rows.map(
         lambda rws: VoterMatrix(5, tuple(VoterRow(m, 5, w) for m, w in rws))
     )
+
+
+def wide_matrices():
+    """1..70 topics, so masks pass 64 bits; each row weight an int or a Fraction."""
+    weights = st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6),
+    )
+
+    def of_width(t):
+        rows = st.lists(st.tuples(st.integers(0, (1 << t) - 1), weights), min_size=1, max_size=6)
+        return rows.map(lambda rws: VoterMatrix(t, tuple(VoterRow(m, t, w) for m, w in rws)))
+
+    return st.integers(min_value=1, max_value=70).flatmap(of_width)
+
+
+def recounted_y_weights(matrix):
+    return [sum(r.weight for r in matrix.rows if r.mask >> i & 1) for i in range(matrix.t)]
 
 
 class TestCanonicalize:
@@ -53,7 +78,7 @@ class TestCanonicalize:
         assert flip == 0
         assert is_canonical(canonical)
 
-    @given(small_matrices())
+    @given(wide_matrices())
     def test_double_flip_is_identity(self, matrix):
         canonical, flip = canonicalize(matrix)
         assert is_canonical(canonical)
@@ -62,6 +87,13 @@ class TestCanonicalize:
             tuple(VoterRow(r.mask ^ flip, r.t, r.weight) for r in canonical.rows),
         )
         assert restored == matrix
+        # the stored sums, counted for the input and mapped for its canonical form,
+        # equal a recount of each one's rows
+        for m in (matrix, canonical):
+            ys = column_tally(m).y_weights
+            assert list(ys) == recounted_y_weights(m)
+            if m.has_integer_weights():
+                assert all(type(y) is int for y in ys)
 
 
 class TestSupport:
@@ -286,3 +318,24 @@ class TestValidation:
     def test_empty_matrix(self):
         with pytest.raises(ParameterError):
             VoterMatrix.from_strings([])
+
+
+class TestParseOpinions:
+    def test_topic_one_is_the_lowest_bit(self):
+        assert parse_opinions("YNN") == (0b001, 3)
+        assert parse_opinions("NNY") == (0b100, 3)
+        assert parse_opinions("") == (0, 0)
+
+    # int() would accept '_' and whitespace, so the characters are checked first
+    @pytest.mark.parametrize(
+        "text,bad", [("YNyN", "y"), ("Y N", " "), ("Y_N", "_"), ("YN1", "1"), ("NxYz", "x")]
+    )
+    def test_error_names_the_first_bad_character(self, text, bad):
+        message = f"invalid opinion character {bad!r} (expected Y or N)"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            parse_opinions(text)
+
+    def test_past_the_int_digit_limit(self):
+        # 5000 digits: CPython's int/str digit limit exempts base 2
+        mask = random.Random(3).getrandbits(5000) | 1 << 4999
+        assert parse_opinions(opinions_to_string(mask, 5000)) == (mask, 5000)

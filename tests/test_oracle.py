@@ -29,7 +29,7 @@ from priceofmajority import (
     theorem3_matrix,
     vlp_matrix,
 )
-from priceofmajority import oracle
+from priceofmajority import core, oracle
 from priceofmajority.core import (
     VoterRow,
     agreements,
@@ -37,6 +37,7 @@ from priceofmajority.core import (
     support_threshold,
     supporter_weight,
 )
+from priceofmajority.matrixio import parse_matrix
 from priceofmajority.oracle import proposal_stats
 from priceofmajority.sampling import random_matrix
 
@@ -479,6 +480,38 @@ class TestRuleOfThreeFourths:
                 hits += 1
             assert rule_of_three_fourths_check(matrix)
         assert hits > 0  # the non-vacuous branch was exercised
+
+
+class TestColumnSumsCountedOnce:
+    """A matrix counts its column sums once; canonicalize maps them to its result."""
+
+    @staticmethod
+    def counting():
+        return mock.patch.object(core, "_count_y_weights", wraps=core._count_y_weights)
+
+    def test_analyze_path(self):
+        # the 4-topic block flips its second column: y = 3 1 3 5 of n = 6 becomes 3 5 3 5
+        text = "3x {}\n{}\n2x {}\n".format(*(row * 5 for row in ("YNNY", "NYYN", "NNYY")))
+        with self.counting() as count:
+            canonical, flip = canonicalize(parse_matrix(text))
+            tally = column_tally(canonical)
+            md, best = md_of(canonical), best_representation(canonical)
+            r = r_V(canonical)
+        assert count.call_count == 1
+        assert flip == sum(0b0010 << 4 * j for j in range(5))
+        assert tally.y_weights == (3, 5, 3, 5) * 5
+        assert (md, best.best_proposal.ones_count, r) == (20, 20, 1)
+
+    def test_verify_path(self):
+        rng, draws = random.Random(37), 60
+        with self.counting() as count:
+            for _ in range(draws):
+                matrix = random_matrix(rng)  # canonicalize reads the drawn matrix
+                r_V(matrix)
+                rule_of_three_fourths_check(matrix)
+                half_proposal(matrix)
+                md_of(matrix)
+        assert count.call_count == draws
 
 
 class TestRelativeFloor:
