@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .bounds import rt_analytic_upper
 from .combinatorics import binomial, check_range, min_k
@@ -137,12 +138,14 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     """Topic-symmetric matrix realizing a feasible l-voter type profile.
 
     For each l with positive mass, all C(t, l) distinct l-voters appear with
-    equal rational weight, so permuting topics maps the row multiset onto
-    itself; the total weight is 1 and the average majority equals the
-    profile's objective value sum(l * v_l) / t. Feasibility (every k-proposal
-    with k >= w supported by at most half the weight) is the LP solver's own
-    primal check on its rows 2 sum_l s_kl v_l <= C(t, k), so a boundary
-    profile is accepted with supporter weight exactly 1/2.
+    equal weight L * v_l / C(t, l), L the lcm of the denominators of these
+    shares, so permuting topics maps the row multiset onto itself; the
+    weights are ints with gcd 1, the total weight is L and the average
+    majority equals the profile's objective value sum(l * v_l) / t.
+    Feasibility (every k-proposal with k >= w supported by at most half the
+    weight) is the LP solver's own primal check on its rows
+    2 sum_l s_kl v_l <= C(t, k), so a boundary profile is accepted with
+    supporter weight exactly L/2.
     """
     check_enumeration(t, "vlp_matrix")
     if profile.t != t:
@@ -151,14 +154,14 @@ def vlp_matrix(t: int, w: int, profile: TypeProfile) -> VoterMatrix:
     cut, _ = SupportRows.build(t, w).primal_check(dict(enumerate(profile.fractions)))
     if cut is not None:
         raise ParameterError(f"profile infeasible: k-proposal support exceeds half at k={cut}")
+    shares = {l: v / binomial(t, l) for l, v in enumerate(profile.fractions) if v}
+    scale = lcm(*(share.denominator for share in shares.values()))
     rows = []
-    for l, v in enumerate(profile.fractions):
-        if v == 0:
-            continue
-        share = v / binomial(t, l)
+    for l, share in shares.items():
+        weight = int(share * scale)
         for positions in combinations(range(t), l):
             mask = 0
             for pos in positions:
                 mask |= 1 << pos
-            rows.append(VoterRow(mask, t, share))
+            rows.append(VoterRow(mask, t, weight))
     return VoterMatrix(t, tuple(rows))

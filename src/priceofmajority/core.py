@@ -3,8 +3,10 @@
 Voters and proposals are vectors of binary opinions (Y/N) over ``t`` topics,
 stored as bitmasks with Y=1 (bit ``i`` is topic ``i+1``); masks are Python
 ints, so t has no width limit. A voter matrix is a weighted multiset of
-voter rows; all quantities defined here depend only on that multiset, so
-``w`` identical rows and one row with weight ``w`` are interchangeable.
+voter rows with positive integer weights; all quantities defined here depend
+only on that multiset, so ``w`` identical rows and one row with weight ``w``
+are interchangeable, and none changes when every weight is scaled by one
+factor (a construction with rational voter masses clears their denominators).
 
 All types are immutable and all operations are pure functions, so values can
 be freely shared between threads. A matrix counts its column sums at most once,
@@ -17,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 ENUMERATION_TOPIC_CAP = 20  # largest t of a call that enumerates or materialises up to 2^t items
-
-Weight = Union[int, Fraction]
 
 
 class ParameterError(ValueError):
@@ -113,26 +113,18 @@ class Proposal(OpinionVector):
 
 @dataclass(frozen=True)
 class VoterRow(OpinionVector):
-    """A voter opinion vector with a positive multiplicity.
+    """A voter opinion vector with a positive integer multiplicity.
 
-    A row with exactly ``l`` Ys is called an l-voter. Weights are integers for
-    ordinary matrices; positive rationals are allowed so that constructions
-    with fractional voter masses can be represented directly.
+    A row with exactly ``l`` Ys is called an l-voter.
     """
 
-    weight: Weight = 1
+    weight: int = 1
     _noun = "voter"
 
     def __post_init__(self):
         OpinionVector.__post_init__(self)  # direct: the super() lookup slows every row
-        if isinstance(self.weight, int):
-            if self.weight < 1:
-                raise ParameterError("integer row weight must be >= 1")
-        elif isinstance(self.weight, Fraction):
-            if self.weight <= 0:
-                raise ParameterError("row weight must be positive")
-        else:
-            raise ParameterError("row weight must be an int or Fraction")
+        if not isinstance(self.weight, int) or self.weight < 1:
+            raise ParameterError("row weight must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ class VoterMatrix:
 
     t: int
     rows: tuple[VoterRow, ...]
-    n: Weight = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         check_topics(self.t)
@@ -162,7 +154,7 @@ class VoterMatrix:
 
     @classmethod
     def from_strings(
-        cls, opinions: Sequence[str], weights: Sequence[Weight] | None = None
+        cls, opinions: Sequence[str], weights: Sequence[int] | None = None
     ) -> "VoterMatrix":
         if weights is None:
             weights = [1] * len(opinions)
@@ -172,15 +164,16 @@ class VoterMatrix:
         return cls(rows[0].t if rows else 1, rows)  # the matrix checks the shape
 
     def has_integer_weights(self) -> bool:
+        """Always True, as row weights are ints; bench/tracing.py still reads it."""
         return all(isinstance(r.weight, int) for r in self.rows)
 
     @cached_property
-    def y_weights(self) -> tuple[Weight, ...]:
+    def y_weights(self) -> tuple[int, ...]:
         """Per-topic Y-weights; the matrix is frozen, so they never go stale."""
         return _count_y_weights(self)
 
 
-def _count_y_weights(matrix: VoterMatrix) -> tuple[Weight, ...]:
+def _count_y_weights(matrix: VoterMatrix) -> tuple[int, ...]:
     """Sum each row's weight into the topics of its set bits: the one full count."""
     tallies = [0] * matrix.t
     for row in matrix.rows:
@@ -196,8 +189,8 @@ def _count_y_weights(matrix: VoterMatrix) -> tuple[Weight, ...]:
 class ColumnTally:
     """Per-topic Y-weights of a voter matrix."""
 
-    y_weights: tuple[Weight, ...]
-    n: Weight
+    y_weights: tuple[int, ...]
+    n: int
 
     @property
     def t(self) -> int:
@@ -284,17 +277,15 @@ def supports(voter: VoterRow, proposal: Proposal) -> bool:
     return agreements(voter.mask, proposal.mask, voter.t) >= support_threshold(voter.t)
 
 
-def supporter_weight(matrix: VoterMatrix, proposal: Proposal) -> Weight:
+def supporter_weight(matrix: VoterMatrix, proposal: Proposal) -> int:
     if matrix.t != proposal.t:
         raise ParameterError("matrix and proposal topic counts differ")
     threshold = support_threshold(matrix.t)
-    supporters = (
+    return sum(
         row.weight
         for row in matrix.rows
         if agreements(row.mask, proposal.mask, matrix.t) >= threshold
     )
-    # starting at 0 * n keeps the matrix's number type with no or only int supporters
-    return sum(supporters, 0 * matrix.n)
 
 
 def has_majority_support(matrix: VoterMatrix, proposal: Proposal) -> bool:
@@ -302,7 +293,7 @@ def has_majority_support(matrix: VoterMatrix, proposal: Proposal) -> bool:
     return 2 * supporter_weight(matrix, proposal) >= matrix.n
 
 
-def matches(matrix: VoterMatrix, proposal: Proposal) -> Weight:
+def matches(matrix: VoterMatrix, proposal: Proposal) -> int:
     """Total weighted count of (voter, topic) opinions agreeing with the proposal."""
     if matrix.t != proposal.t:
         raise ParameterError("matrix and proposal topic counts differ")

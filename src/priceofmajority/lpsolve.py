@@ -406,22 +406,6 @@ class _Tableau:
         return Fraction(self.obj[-1], self.obj_den)
 
 
-def _simplex(c, rows):
-    """Maximize c.x subject to (a_i / d_i).x <= b_i / d_i, x >= 0 from the slack basis.
-
-    ``c`` is a list of integers and ``rows`` a list of (a_i, b_i, d_i) with
-    integer a_i, integers b_i >= 0 and d_i > 0. Returns (x, value, pivots)
-    with x over the n variables followed by the m slacks of a_i.x <= b_i, as
-    Fractions. The full-LP reference for the working-set solver.
-    """
-    tableau = _Tableau(c, rows)
-    tableau.primal()
-    x = [Fraction(0)] * (len(c) + len(rows))
-    for j, v in tableau.primal_values().items():
-        x[j] = v
-    return x, tableau.value(), tableau.pivots
-
-
 def _eliminate(row, pivot_row, p, f):
     """(p * row - f * pivot_row) reduced by its gcd: row minus f/p pivot rows."""
     g = gcd(p, f)

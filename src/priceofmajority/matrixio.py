@@ -6,12 +6,11 @@ multiplicity ("3x YNN"). '#' starts a comment; blank lines are ignored.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .core import ParameterError, ShapeError, VoterMatrix, VoterRow, parse_opinions
 
-_LINE = re.compile(r"^(?:(\d+)\s*x\s+)?([YN]+)$")
+_LINE = re.compile(r"^(?:(\d+)\s*x\s+)?(\S+)$")  # parse_opinions checks the characters
 
 
 class MatrixFormatError(ValueError):
@@ -47,29 +46,8 @@ def parse_matrix(text: str) -> VoterMatrix:
 
 
 def write_matrix(matrix: VoterMatrix, header: str | None = None) -> str:
-    """Serialize; rational weights are cleared to integers by a common scale.
-
-    The scale factor, when not 1, is recorded in a header comment so the file
-    remains a faithful (scaled) copy of the original weighted matrix.
-    """
-    scaled, scale = scale_to_integer_weights(matrix)
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    if scale != 1:
-        lines.append(f"# weights scaled by {scale} to clear denominators")
-    for row in scaled.rows:
+    lines = [f"# {header}"] if header else []
+    for row in matrix.rows:
         text = row.to_string()
         lines.append(text if row.weight == 1 else f"{row.weight}x {text}")
     return "\n".join(lines) + "\n"
-
-
-def scale_to_integer_weights(matrix: VoterMatrix) -> tuple[VoterMatrix, int]:
-    """Smallest integer multiple making all row weights integral."""
-    if matrix.has_integer_weights():
-        return matrix, 1
-    weights = {r.weight for r in matrix.rows}  # a witness has a few weights over many rows
-    scale = math.lcm(*(w.denominator for w in weights))
-    scaled = {w: int(w * scale) for w in weights}
-    rows = tuple(VoterRow(r.mask, r.t, scaled[r.weight]) for r in matrix.rows)
-    return VoterMatrix(matrix.t, rows), scale

@@ -22,10 +22,8 @@ No t is refused: a level that must be scanned and holds more than
 ``_SCAN_BUDGET`` = C(24, 12) masks or high halves raises ResourceLimitError
 before it allocates, so any level can be scanned at t <= 24 and none at t > 42.
 
-Rational weights are scaled to integers by their common denominator and
-results are mapped back to the matrix's units, once per distinct value; sums
-are int64 while the scaled n*t < 2^62 and Python ints (``dtype=object``)
-beyond, on the same code.
+Weights are ints, so every sum is an int: the sums are int64 while
+n*t < 2^62 and Python ints (``dtype=object``) beyond, on the same code.
 Of any proposal and its opposite at least one has majority support (their
 supporter weights sum to at least n), so every maximum here is over a nonempty set.
 """
@@ -51,7 +49,6 @@ from .core import (
     support_threshold,
     supporter_weight,
 )
-from .matrixio import scale_to_integer_weights
 
 _CHUNK = 1 << 20
 _SCAN_BUDGET = comb(24, 12)  # most masks of a scanned level, and most high halves
@@ -60,48 +57,31 @@ _SCAN_BUDGET = comb(24, 12)  # most masks of a scanned level, and most high halv
 @dataclass(frozen=True)
 class OracleResult:
     best_proposal: Proposal
-    value: object
-    supporter_weight: object
+    value: int
+    supporter_weight: int
 
 
-def proposal_stats(matrix: VoterMatrix) -> tuple[list, list]:
+def proposal_stats(matrix: VoterMatrix) -> tuple[list[int], list[int]]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
     Intended for small t (hard limit ENUMERATION_TOPIC_CAP); the level search below should be
-    used for anything larger. Values are in the matrix's own weight units:
-    ints for an integer matrix as they are, otherwise each distinct integer
-    sum is converted to a Fraction once and shared by its masks.
+    used for anything larger.
     """
     check_enumeration(matrix.t, "proposal_stats")
-    scaled, unit, dtype = _integer(matrix)
+    dtype = _dtype(matrix)
     masks = np.arange(1 << matrix.t, dtype=np.int64)
-    supp = _scan(scaled.rows, matrix.t, masks, dtype).tolist()
-    match = _matcher(scaled.y_weights, scaled.n, dtype)(masks).tolist()
-    if scaled is matrix:  # integer weights: the sums are in the matrix's units already
-        return supp, match
-    return _in_units(supp, unit), _in_units(match, unit)
+    supp = _scan(matrix.rows, matrix.t, masks, dtype).tolist()
+    match = _matcher(matrix.y_weights, matrix.n, dtype)(masks).tolist()
+    return supp, match
 
 
-def _in_units(values: list, unit: Fraction) -> list:
-    """``values`` times ``unit``, one multiplication per distinct value."""
-    converted = {x: x * unit for x in set(values)}
-    return [converted[x] for x in values]
-
-
-def _integer(matrix: VoterMatrix):
-    """(integer-weight copy, unit, dtype): one integer weight is worth ``unit``.
-
-    ``unit`` is 1 for integer matrices and Fraction(1, scale) otherwise, so
-    results come back in the matrix's own number type; sums are held in dtype.
-    """
-    scaled, scale = scale_to_integer_weights(matrix)
-    unit = 1 if scaled is matrix else Fraction(1, scale)  # an integer matrix comes back as is
-    dtype = np.int64 if scaled.n * scaled.t < 2**62 else object  # n*t bounds every sum
-    return scaled, unit, dtype
+def _dtype(matrix: VoterMatrix):
+    """The dtype that holds every sum of the matrix: n*t bounds each one."""
+    return np.int64 if matrix.n * matrix.t < 2**62 else object
 
 
 def _scan(rows, t: int, masks, dtype):
-    """Supporter weights, summed in ``dtype``, of ``masks`` from integer-weight ``rows``."""
+    """Supporter weights, summed in ``dtype``, of ``masks`` from ``rows``."""
     reach = t - support_threshold(t)
     supp = np.zeros(masks.size, dtype=dtype)
     for row in rows:
@@ -121,7 +101,7 @@ def _matcher(ys, n: int, dtype):
     return lambda masks: tables[0][masks & ((1 << h) - 1)] + tables[1][masks >> h]
 
 
-def _level(matrix: VoterMatrix, k: int, dtype):
+def _level(matrix: VoterMatrix, k: int):
     """Yield (masks, supporter weights) of level k in blocks, each a run of high
     halves with k - j ones joined to every low half (the low h = t // 2 bits)
     with j ones: at most ``_CHUNK`` masks while ``_CHUNK`` >= C(h, h // 2).
@@ -146,7 +126,7 @@ def _level(matrix: VoterMatrix, k: int, dtype):
         step = max(1, _CHUNK // los.size)
         for b in range(0, his.size, step):
             block = (his[b : b + step] | los).ravel()
-            yield block, _scan(near, t, block, dtype)
+            yield block, _scan(near, t, block, _dtype(matrix))
 
 
 def _ceilings(ys, n) -> tuple[list[int], list]:
@@ -174,11 +154,10 @@ def md_of(matrix: VoterMatrix) -> int:
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
-    scaled, _, dtype = _integer(matrix)
-    ceiling, _ = _ceilings(scaled.y_weights, scaled.n)
+    ceiling, _ = _ceilings(matrix.y_weights, matrix.n)
     for k in range(t - 1, -1, -1):
-        if has_majority_support(scaled, Proposal(ceiling[k], t)) or any(
-            2 * supp.max() >= scaled.n for _, supp in _level(scaled, k, dtype)
+        if has_majority_support(matrix, Proposal(ceiling[k], t)) or any(
+            2 * supp.max() >= matrix.n for _, supp in _level(matrix, k)
         ):
             return k
     raise AssertionError("no majority-supported proposal; pair-support violated")
@@ -199,22 +178,17 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
     support is won by it, which ends the walk, and any other is scanned (or,
     over the budget of ``_level``, raises ResourceLimitError).
     """
-    scaled, unit, dtype = _integer(matrix)
-    t, n = scaled.t, scaled.n
-    majority = Proposal(sum(1 << i for i, y in enumerate(scaled.y_weights) if 2 * y >= n), t)
-    supp = supporter_weight(scaled, majority)
+    t, n = matrix.t, matrix.n
+    majority = Proposal(sum(1 << i for i, y in enumerate(matrix.y_weights) if 2 * y >= n), t)
+    supp = supporter_weight(matrix, majority)
     if 2 * supp >= n:
-        value, mask = matches(scaled, majority), majority.mask
+        value, mask = matches(matrix, majority), majority.mask
     else:
-        value, mask, supp = _best_by_scan(scaled, dtype)
-    return OracleResult(
-        best_proposal=Proposal(mask, t),
-        value=value * unit,
-        supporter_weight=supp * unit,
-    )
+        value, mask, supp = _best_by_scan(matrix)
+    return OracleResult(best_proposal=Proposal(mask, t), value=value, supporter_weight=supp)
 
 
-def _best_by_scan(matrix: VoterMatrix, dtype) -> tuple[int, int, int]:
+def _best_by_scan(matrix: VoterMatrix) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
     t, n = matrix.t, matrix.n
     ceiling, most = _ceilings(matrix.y_weights, n)
@@ -226,8 +200,8 @@ def _best_by_scan(matrix: VoterMatrix, dtype) -> tuple[int, int, int]:
         if 2 * supp >= n:  # the ceiling wins its level, and so beats every level after it
             best = (m, k, -ceiling[k], supp)
             break
-        for masks, supp in _level(matrix, k, dtype):
-            match_of = match_of or _matcher(matrix.y_weights, n, dtype)
+        for masks, supp in _level(matrix, k):
+            match_of = match_of or _matcher(matrix.y_weights, n, _dtype(matrix))
             match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
             top = np.flatnonzero(match == match.max())
             i = top[np.argmin(masks[top])]

@@ -213,7 +213,7 @@ class TestConstruct:
         code, _ = run(["construct", "vlp", "--t", "3", "--w", "3", "--out", str(path)])
         assert code == 0
         matrix = parse_matrix(path.read_text())
-        # weights were scaled to integers, which leaves m_V unchanged
+        # vlp_matrix clears the profile's masses to ints, which leaves m_V unchanged
         assert column_tally(matrix).m_V == Fraction(2, 3)
 
     def test_bad_parameters(self):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -174,15 +175,12 @@ class TestVlpMatrix:
         fractions[1] = Fraction(1, 2)
         fractions[3] = Fraction(1, 2)
         matrix = vlp_matrix(3, 3, TypeProfile(tuple(fractions)))
-        rows = {(r.to_string(), r.weight) for r in matrix.rows}
-        assert rows == {
-            ("YNN", Fraction(1, 6)),
-            ("NYN", Fraction(1, 6)),
-            ("NNY", Fraction(1, 6)),
-            ("YYY", Fraction(1, 2)),
-        }
+        # the shares 1/6 and 1/2 cleared by their lcm 6
+        rows = [(r.to_string(), r.weight) for r in matrix.rows]
+        assert rows == [("YNN", 1), ("NYN", 1), ("NNY", 1), ("YYY", 3)]
+        assert matrix.n == 6
         # closed-boundary optimum: the all-Y proposal sits at exactly half
-        assert supporter_weight(matrix, Proposal.from_string("YYY")) == Fraction(1, 2)
+        assert supporter_weight(matrix, Proposal.from_string("YYY")) == 3
 
     def test_interior_profile_strictly_below_half(self):
         eps = Fraction(1, 100)
@@ -191,7 +189,7 @@ class TestVlpMatrix:
         fractions[1] = Fraction(1, 2)
         fractions[3] = Fraction(1, 2) - eps
         matrix = vlp_matrix(3, 3, TypeProfile(tuple(fractions)))
-        assert 2 * supporter_weight(matrix, Proposal.from_string("YYY")) < 1
+        assert 2 * supporter_weight(matrix, Proposal.from_string("YYY")) < matrix.n
 
     def test_optimal_profile_symmetric_support(self):
         t = 4
@@ -200,6 +198,17 @@ class TestVlpMatrix:
         for k in range(t + 1):
             values = {supp[m] for m in range(1 << t) if bin(m).count("1") == k}
             assert len(values) == 1
+
+    def test_lp_witnesses_have_coprime_int_weights(self):
+        # sum_l C(t, l) * weight_l = L, so the weights have gcd 1 and n = L
+        for t in range(1, 9):
+            for w in range((t + 2) // 2, t + 1):
+                solution = solve_ma(t, w)
+                matrix = vlp_matrix(t, w, solution.profile)
+                weights = [r.weight for r in matrix.rows]
+                assert all(type(x) is int for x in weights)
+                assert math.gcd(*weights) == 1
+                assert column_tally(matrix).m_V == solution.ma
 
     def test_average_majority_equals_objective(self):
         for t, w in [(3, 3), (5, 4), (7, 5)]:

@@ -42,11 +42,8 @@ def small_matrices():
 
 
 def wide_matrices():
-    """1..70 topics, so masks pass 64 bits; each row weight an int or a Fraction."""
-    weights = st.one_of(
-        st.integers(min_value=1, max_value=4),
-        st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6),
-    )
+    """1..70 topics, so masks pass 64 bits; row weights 1..4."""
+    weights = st.integers(min_value=1, max_value=4)
 
     def of_width(t):
         rows = st.lists(st.tuples(st.integers(0, (1 << t) - 1), weights), min_size=1, max_size=6)
@@ -92,8 +89,7 @@ class TestCanonicalize:
         for m in (matrix, canonical):
             ys = column_tally(m).y_weights
             assert list(ys) == recounted_y_weights(m)
-            if m.has_integer_weights():
-                assert all(type(y) is int for y in ys)
+            assert all(type(y) is int for y in ys)
 
 
 class TestSupport:
@@ -126,19 +122,10 @@ class TestMajoritySupport:
         assert has_majority_support(matrix, Proposal(matrix.rows[0].mask, 5))
 
     def test_supporter_weight_in_the_matrix_number_type(self):
-        # a Fraction among the weights makes every sum a Fraction, also with no
-        # supporter or with int-weight supporters only
-        fractions = VoterMatrix.from_strings(["YYY"], weights=[Fraction(1, 2)])
-        mixed = VoterMatrix.from_strings(["YYY", "NNN"], weights=[2, Fraction(1, 3)])
+        # weights are ints, so every sum is an int, also with no supporter
         ints = VoterMatrix.from_strings(["YYY", "NNN"], weights=[2, 1])
-        cases = (
-            (fractions, "NNN", Fraction(0)),
-            (fractions, "YYY", Fraction(1, 2)),
-            (mixed, "YYY", Fraction(2)),
-            (mixed, "NNN", Fraction(1, 3)),
-            (ints, "YYN", 2),
-            (ints, "NNY", 1),
-        )
+        single = VoterMatrix.from_strings(["YYY"])
+        cases = ((ints, "YYN", 2), (ints, "NNY", 1), (single, "NNN", 0))
         for matrix, text, expected in cases:
             weight = supporter_weight(matrix, Proposal.from_string(text))
             assert weight == expected
@@ -292,6 +279,14 @@ class TestValidation:
     def test_zero_weight(self):
         with pytest.raises(ParameterError):
             VoterRow(0, 2, 0)
+
+    @pytest.mark.parametrize(
+        "weight", [Fraction(1, 2), Fraction(3, 1), 1.0, 0, -1], ids=repr
+    )
+    def test_weight_must_be_a_positive_int(self, weight):
+        # a Fraction equal to an int is refused too: weights have one number type
+        with pytest.raises(ParameterError, match="^row weight must be a positive int$"):
+            VoterRow(0b01, 2, weight)
 
     @pytest.mark.parametrize("t", [65, 200])
     def test_no_topic_limit(self, t):

@@ -140,11 +140,27 @@ class TestIntegerSimplex:
         assert done.returncode == 0, done.stderr
 
 
+def _simplex(c, rows):
+    """Maximize c.x subject to (a_i / d_i).x <= b_i / d_i, x >= 0 from the slack basis.
+
+    ``c`` is a list of integers and ``rows`` a list of (a_i, b_i, d_i) with
+    integer a_i, integers b_i >= 0 and d_i > 0. Returns (x, value, pivots)
+    with x over the n variables followed by the m slacks of a_i.x <= b_i, as
+    Fractions. The full-LP reference for the working-set solver.
+    """
+    tableau = lpsolve._Tableau(c, rows)
+    tableau.primal()
+    x = [Fraction(0)] * (len(c) + len(rows))
+    for j, v in tableau.primal_values().items():
+        x[j] = v
+    return x, tableau.value(), tableau.pivots
+
+
 def _full_simplex_ma(t, w):
     """ma_t(w) from the full-tableau simplex on every integer row of lpsolve.SupportRows."""
     rows = [([2 * s for s in row], row[t], 2 * row[t]) for row in SupportRows.build(t, w).ints]
     rows.append(([1] * (t + 1), 1, 1))
-    _, value, _ = lpsolve._simplex(list(range(t + 1)), rows)
+    _, value, _ = _simplex(list(range(t + 1)), rows)
     return value / t
 
 

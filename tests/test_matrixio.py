@@ -1,16 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from priceofmajority import VoterMatrix
-from priceofmajority.core import VoterRow
-from priceofmajority.matrixio import (
-    MatrixFormatError,
-    parse_matrix,
-    scale_to_integer_weights,
-    write_matrix,
-)
+from priceofmajority import TypeProfile, vlp_matrix
+from priceofmajority.matrixio import MatrixFormatError, parse_matrix, write_matrix
 
 
 class TestParse:
@@ -34,6 +27,12 @@ class TestParse:
         with pytest.raises(MatrixFormatError) as info:
             parse_matrix("YNX\n")
         assert info.value.line_number == 1
+        # the message is parse_opinions', with or without a weight prefix
+        message = "line 2: invalid opinion character 'X' (expected Y or N)"
+        for text in ("YN\nYNX", "YN\n2x YNX"):
+            with pytest.raises(MatrixFormatError) as info:
+                parse_matrix(text)
+            assert str(info.value) == message
 
     def test_ragged_rows(self):
         with pytest.raises(MatrixFormatError) as info:
@@ -70,54 +69,8 @@ class TestWrite:
         assert write_matrix(matrix) == "YN\nNY\n"
 
     def test_rational_weights_are_scaled(self):
-        matrix = VoterMatrix(
-            2,
-            (
-                VoterRow(0b01, 2, Fraction(1, 3)),
-                VoterRow(0b10, 2, Fraction(1, 2)),
-            ),
-        )
-        text = write_matrix(matrix)
-        assert "scaled by 6" in text
-        again = parse_matrix(text)
-        assert [r.weight for r in again.rows] == [2, 3]
-
-
-class TestScaling:
-    def test_integer_matrix_unchanged(self, intro_matrix):
-        scaled, scale = scale_to_integer_weights(intro_matrix)
-        assert scale == 1
-        assert scaled is intro_matrix
-
-    def test_lcm_of_denominators(self):
-        matrix = VoterMatrix(
-            1,
-            (
-                VoterRow(1, 1, Fraction(1, 4)),
-                VoterRow(0, 1, Fraction(1, 6)),
-            ),
-        )
-        scaled, scale = scale_to_integer_weights(matrix)
-        assert scale == 12
-        assert [r.weight for r in scaled.rows] == [3, 2]
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [Fraction(1, 3)] * 5 + [Fraction(1, 6)] * 4,  # repeated weights
-            [2, Fraction(3, 4), 2, Fraction(5, 6), 1, Fraction(3, 4)],  # mixed
-            [Fraction(3, 1), Fraction(5, 1), Fraction(3, 1)],  # denominator one
-            [3, Fraction(3, 1), Fraction(7, 2), 3],  # an int equal to a Fraction
-        ],
-    )
-    def test_each_row_scaled_by_the_lcm(self, weights):
-        t = 3
-        matrix = VoterMatrix(
-            t, tuple(VoterRow(i % (1 << t), t, w) for i, w in enumerate(weights))
-        )
-        scaled, scale = scale_to_integer_weights(matrix)
-        assert scale == math.lcm(*(Fraction(w).denominator for w in weights))
-        assert [r.weight for r in scaled.rows] == [int(Fraction(w) * scale) for w in weights]
-        assert all(type(r.weight) is int for r in scaled.rows)
-        assert [r.mask for r in scaled.rows] == [r.mask for r in matrix.rows]
-        assert scaled is not matrix and scaled.has_integer_weights()
+        # vlp_matrix clears the masses 1/6, 1/6, 1/6, 1/2 to ints; no scale line
+        profile = TypeProfile((0, Fraction(1, 2), 0, Fraction(1, 2)))
+        text = write_matrix(vlp_matrix(3, 3, profile))
+        assert text == "YNN\nNYN\nNNY\n3x YYY\n"
+        assert parse_matrix(text).n == 6
