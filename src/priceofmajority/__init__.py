@@ -8,7 +8,6 @@ attaining them.
 
 from .bounds import (
     RtBounds,
-    analytic_floor,
     figure2_points,
     ma_closed_form_full,
     ma_linear_lower,
@@ -37,11 +36,8 @@ from .core import (
     canonicalize,
     column_tally,
     has_majority_support,
-    majority_decisions,
     matches,
     relative_representativeness,
-    supports,
-    type_profile,
 )
 from .lpsolve import LpSolution, ma_table, solve_ma, solve_ma_float
 from .matrixio import MatrixFormatError, parse_matrix, write_matrix

@@ -36,11 +36,6 @@ class RtBounds:
     details: tuple[BoundDetail, ...]
 
 
-def analytic_floor() -> Fraction:
-    """Universal floor: r_V >= 1/3 for every voter matrix, hence r_t >= 1/3."""
-    return Fraction(1, 3)
-
-
 def ma_linear_lower(t: int, w: int) -> Fraction:
     """Linear lower bound ma_t(w) >= w/(2t) + floor((t-1)/2)/(2t); tight at w = t."""
     check_range(t, "w", w)

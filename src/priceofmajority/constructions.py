@@ -7,8 +7,8 @@ on them are therefore independent of the (often huge) nominal voter count.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, count
+from math import lcm, sqrt
 
 from .bounds import rt_analytic_upper
 from .combinatorics import binomial, check_range, min_k
@@ -20,8 +20,6 @@ from .core import (
     check_enumeration,
 )
 from .lpsolve import SupportRows
-
-THEOREM3_K_LIMIT = 200  # largest k theorem3_proof_parameters scans
 
 
 def lemma1_matrix(t: int) -> VoterMatrix:
@@ -98,21 +96,20 @@ def theorem3_rv_bound(t: int, k: int, M: int) -> Fraction:
 
 
 def theorem3_proof_parameters(t: int) -> tuple[int, int]:
-    """Smallest (k, M) whose provable r_V bound undercuts the analytic limit.
+    """Smallest k, and then M, whose provable r_V bound undercuts the analytic limit.
 
-    Scans k upward (M over its full range per k), mirroring the proof's
-    "k and M sufficiently large with M/k near sqrt(3/2)" prescription but
-    returning concrete parameters usable at brute-force scale. Measured reach of
-    THEOREM3_K_LIMIT: parameters exist for every t <= 466; t = 467 is the first
-    that raises, a few t up to 506 (486, for one) still have them, and every t
-    from 507 to at least 699 raises.
+    Follows the proof's "k and M sufficiently large with M/k near sqrt(3/2)":
+    k runs upward, with M within 3 of round(sqrt(3/2) * k), so each k costs
+    O(1) and the parameters stay usable at brute-force scale. For every
+    t <= 466 this is also the smallest (k, M) over every M in (k, 2k + 1];
+    parameters were found for every t from 3 to 3000 and at 5001 and 10001.
     """
     target = rt_analytic_upper(t)
-    for k in range(2, THEOREM3_K_LIMIT + 1):
-        for M in range(k + 1, 2 * k + 2):
+    for k in count(2):
+        centre = round(sqrt(1.5) * k)
+        for M in range(max(k + 1, centre - 3), min(2 * k + 1, centre + 3) + 1):
             if theorem3_rv_bound(t, k, M) <= target:
                 return k, M
-    raise ParameterError(f"no (k, M) with provable bound below {target} for t={t}")
 
 
 def lemma7_matrix(t: int, w: int, n: int) -> VoterMatrix:

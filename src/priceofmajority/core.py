@@ -196,10 +196,6 @@ class ColumnTally:
     def t(self) -> int:
         return len(self.y_weights)
 
-    def m(self, i: int) -> Fraction:
-        """Fraction of Ys on topic ``i`` (0-based); >= 1/2 in canonical form."""
-        return Fraction(self.y_weights[i]) / self.n
-
     @property
     def m_V(self) -> Fraction:
         """Average Y-fraction over all topics."""
@@ -253,10 +249,6 @@ def canonicalize(matrix: VoterMatrix) -> tuple[VoterMatrix, int]:
     return canonical, flip_mask
 
 
-def is_canonical(matrix: VoterMatrix) -> bool:
-    return all(2 * y >= matrix.n for y in matrix.y_weights)
-
-
 def agreements(voter_mask: int, proposal_mask: int, t: int) -> int:
     return t - (voter_mask ^ proposal_mask).bit_count()
 
@@ -264,17 +256,6 @@ def agreements(voter_mask: int, proposal_mask: int, t: int) -> int:
 def support_threshold(t: int) -> int:
     """Minimum number of agreements for a voter to support a proposal."""
     return (t + 1) // 2
-
-
-def supports(voter: VoterRow, proposal: Proposal) -> bool:
-    """True iff the voter agrees with the proposal on at least half the topics.
-
-    Equivalently, the hamming distance between voter and proposal is at most
-    t/2.
-    """
-    if voter.t != proposal.t:
-        raise ParameterError("voter and proposal topic counts differ")
-    return agreements(voter.mask, proposal.mask, voter.t) >= support_threshold(voter.t)
 
 
 def supporter_weight(matrix: VoterMatrix, proposal: Proposal) -> int:
@@ -321,16 +302,3 @@ def relative_representativeness(matrix: VoterMatrix, proposal: Proposal) -> Frac
             "relative representativeness requires canonical input; no column holds a Y"
         )
     return Fraction(matches(matrix, proposal)) / y_sum
-
-
-def majority_decisions(proposal: Proposal) -> int:
-    """Number of topics decided in favor of the majority (Ys, canonical frame)."""
-    return proposal.ones_count
-
-
-def type_profile(matrix: VoterMatrix) -> TypeProfile:
-    """Fraction of total weight held by l-voters, for l = 0..t."""
-    weights = [0] * (matrix.t + 1)
-    for row in matrix.rows:
-        weights[row.ones_count] += row.weight
-    return TypeProfile(tuple(Fraction(w) / matrix.n for w in weights))

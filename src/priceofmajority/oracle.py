@@ -1,31 +1,19 @@
-"""Exhaustive ground truth over all 2^t proposals.
+"""Exact optima over all 2^t proposals.
 
 Proposals are bitmasks, grouped by their Y-count k. Level k's ceiling holds
 the k topics with the largest gains 2*y_i - n, ties to the lower index: it
 has the level's most matches and the smallest mask among the masks tied with
-it, so a ceiling with majority support decides its level. A level that its
-ceiling leaves open is scanned (``_level``) unless the voters that can reach
-it weigh less than n/2 (one with l Ys agrees with a k-Y proposal on at most
-t - |k - l| topics): its masks are joined from popcount groups of the low and
-high halves of the bits, in blocks of at most ``_CHUNK`` (never 2^t at once),
-and their supporter weights come from a vectorized XOR + popcount scan. Match
-counts add up over the topics and are read from two half tables of the column
-tally. ``md_of`` returns the first level, from t - 1 down, whose ceiling or
-scan shows a supported proposal. ``best_representation`` visits the levels
-best first, by (ceiling matches, Y-count), and stops at the first level that
-cannot beat the best found, as a tie goes to the higher level. Before any of
-this, an O(rows*t) check may give the answer: ``md_of`` is t when all-Y has
-majority support, and ``best_representation`` returns the column-majority
-proposal when it has majority support.
+it, so a ceiling with majority support decides its level, and a level that
+its ceiling leaves open is searched (``_search``). ``md_of`` and
+``best_representation`` walk the levels, and each first tries an O(rows*t)
+short-cut that needs no level at all.
 
-No t is refused: a level that must be scanned and holds more than
-``_SCAN_BUDGET`` = C(24, 12) masks or high halves raises ResourceLimitError
-before it allocates, so any level can be scanned at t <= 24 and none at t > 42.
-
-Weights are ints, so every sum is an int: the sums are int64 while
-n*t < 2^62 and Python ints (``dtype=object``) beyond, on the same code.
-Of any proposal and its opposite at least one has majority support (their
-supporter weights sum to at least n), so every maximum here is over a nonempty set.
+No t is refused, but a search past ``_NODE_BUDGET`` nodes raises
+ResourceLimitError. Weights are ints, so every sum is an int: int64 while
+n*t < 2^62 and Python ints (``dtype=object``) beyond, on the same code. Of
+any proposal and its opposite at least one has majority support (their
+supporter weights sum to at least n), so every maximum here is over a
+nonempty set.
 """
 
 from __future__ import annotations
@@ -33,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 
 import numpy as np
 
@@ -50,8 +37,8 @@ from .core import (
     supporter_weight,
 )
 
-_CHUNK = 1 << 20
-_SCAN_BUDGET = comb(24, 12)  # most masks of a scanned level, and most high halves
+# a node takes about 5 us at 160 voters (2-core x86 VM), so a refusal comes after about a second
+_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -64,8 +51,8 @@ class OracleResult:
 def proposal_stats(matrix: VoterMatrix) -> tuple[list[int], list[int]]:
     """Supporter weight and match count for every proposal mask 0..2^t-1.
 
-    Intended for small t (hard limit ENUMERATION_TOPIC_CAP); the level search below should be
-    used for anything larger.
+    Intended for small t (hard limit ENUMERATION_TOPIC_CAP); ``md_of`` and
+    ``best_representation`` search only the levels they need.
     """
     check_enumeration(matrix.t, "proposal_stats")
     dtype = _dtype(matrix)
@@ -101,41 +88,63 @@ def _matcher(ys, n: int, dtype):
     return lambda masks: tables[0][masks & ((1 << h) - 1)] + tables[1][masks >> h]
 
 
-def _level(matrix: VoterMatrix, k: int):
-    """Yield (masks, supporter weights) of level k in blocks, each a run of high
-    halves with k - j ones joined to every low half (the low h = t // 2 bits)
-    with j ones: at most ``_CHUNK`` masks while ``_CHUNK`` >= C(h, h // 2).
-    Nothing is yielded when the voters that can reach level k weigh under n/2;
-    a level with more than ``_SCAN_BUDGET`` masks or high halves raises
-    ResourceLimitError instead."""
-    t, h = matrix.t, matrix.t // 2
-    reach = t - support_threshold(t)
-    near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= reach]
-    if 2 * sum(r.weight for r in near) < matrix.n:
-        return
-    size = max(comb(t, k), 1 << (t - h))
-    if size > _SCAN_BUDGET:
-        raise ResourceLimitError(
-            f"scanning level {k} of {t} topics needs {size} masks; the budget is {_SCAN_BUDGET}"
-        )
-    masks = np.arange(1 << (t - h), dtype=np.int64)  # t - h >= h bits
-    counts = np.bitwise_count(masks)
-    for j in range(max(0, k - t + h), min(h, k) + 1):
-        los = masks[: 1 << h][counts[: 1 << h] == j]
-        his = (masks[counts == k - j] << h)[:, None]
-        step = max(1, _CHUNK // los.size)
-        for b in range(0, his.size, step):
-            block = (his[b : b + step] | los).ravel()
-            yield block, _scan(near, t, block, _dtype(matrix))
+def _search(matrix: VoterMatrix, k: int):
+    """(matches, -mask, supporter weight) of level k's best supported mask (most
+    matches, then the smallest mask), or None; nothing is built when the voters
+    that can reach level k weigh under n/2 (an l-voter agrees with a k-Y mask on
+    at most t - |k - l| topics).
+
+    Depth first over the topics by gain, highest first and ties from the highest
+    index, with N first where it keeps the match bound (the decided part plus the
+    kl largest gains left), so the first leaf is the ceiling. A voter with a
+    agreements on the decided topics and Y_v Ys left can reach a + left -
+    |Y_v - kl|; a node is cut when the voters that reach the threshold weigh
+    under n/2, or when its (match bound, -smallest mask) does not beat the best.
+    """
+    t, n = matrix.t, matrix.n
+    s = support_threshold(t)
+    near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= t - s]
+    if 2 * sum(r.weight for r in near) < n:
+        return None
+    ys = matrix.y_weights
+    order = sorted(range(t), key=lambda i: (2 * ys[i] - n, i), reverse=True)
+    gains = [2 * ys[i] - n for i in order]
+    top = list(accumulate(gains, initial=0))
+    rest = list(accumulate((1 << i for i in reversed(order)), initial=0))[::-1]
+    ones = np.array([[r.mask >> i & 1 for r in near] for i in order], dtype=np.int64)
+    left_ys = np.concatenate([ones[::-1].cumsum(axis=0)[::-1], ones[:1] * 0])
+    weights = np.array([r.weight for r in near], dtype=_dtype(matrix))
+    best, nodes = None, 0
+    stack = [(0, k, 0, sum(n - y for y in ys), np.zeros(len(near), dtype=np.int64))]
+    while stack:
+        d, kl, mask, fixed, agree = stack.pop()
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise ResourceLimitError(
+                f"searching level {k} of {t} topics passed {_NODE_BUDGET} nodes"
+            )
+        bound, left = fixed + top[d + kl] - top[d], t - d
+        if best and bound <= best[0]:
+            low = rest[d]
+            for _ in range(kl):  # clear the kl lowest topics left: low ^ rest[d] holds them
+                low &= low - 1
+            if bound < best[0] or mask | (low ^ rest[d]) >= -best[1]:
+                continue
+        supp = weights[np.abs(left_ys[d] - kl) <= agree + (left - s)].sum()
+        if 2 * supp < n:
+            continue
+        if kl in (0, left):  # a leaf: the rest is decided, and reach is support
+            best = (bound, -(mask | (rest[d] if kl else 0)), int(supp))
+            continue
+        y_child = (d + 1, kl - 1, mask | 1 << order[d], fixed + gains[d], agree + ones[d])
+        n_child = (d + 1, kl, mask, fixed, agree + 1 - ones[d])
+        stack += (y_child, n_child) if gains[d] == gains[d + kl] else (n_child, y_child)
+    return best
 
 
 def _ceilings(ys, n) -> tuple[list[int], list]:
-    """(ceiling masks, most matches) of each level k = 0..t.
-
-    The ceiling of level k holds the k topics with the largest gains 2*y_i - n,
-    ties to the lower topic index: of the k-Y proposals it has the most
-    matches, sum(n - y_i) plus those k gains, and the smallest mask among them.
-    """
+    """(ceiling masks, most matches) of each level k = 0..t: the most are
+    sum(n - y_i) plus the gains of the ceiling's k topics."""
     order = sorted(range(len(ys)), key=lambda i: -ys[i])  # stable: ties keep index order
     ceiling = list(accumulate((1 << i for i in order), initial=0))  # distinct bits add
     most = list(accumulate((2 * ys[i] - n for i in order), initial=sum(n - y for y in ys)))
@@ -143,22 +152,15 @@ def _ceilings(ys, n) -> tuple[list[int], list]:
 
 
 def md_of(matrix: VoterMatrix) -> int:
-    """Maximum Y-count over all majority-supported proposals.
-
-    Returns t without scanning when the all-Y proposal has majority support.
-    Otherwise it walks the levels from t - 1 down and returns the first whose
-    ceiling (see ``_ceilings``) has majority support or whose scan finds a
-    supported mask; a scan stops at its first block that holds one, and a
-    scan over the budget (see ``_level``) raises ResourceLimitError.
-    """
+    """Maximum Y-count over all majority-supported proposals: t when all-Y has
+    majority support, else the first level from t - 1 down whose ceiling has
+    majority support or whose search finds a supported mask."""
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
     ceiling, _ = _ceilings(matrix.y_weights, matrix.n)
     for k in range(t - 1, -1, -1):
-        if has_majority_support(matrix, Proposal(ceiling[k], t)) or any(
-            2 * supp.max() >= matrix.n for _, supp in _level(matrix, k)
-        ):
+        if has_majority_support(matrix, Proposal(ceiling[k], t)) or _search(matrix, k):
             return k
     raise AssertionError("no majority-supported proposal; pair-support violated")
 
@@ -171,12 +173,11 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
 
     The column-majority proposal (Y exactly where 2*y_i >= n) maximizes the
     match count and, among the proposals tied with it, has the most Ys; when
-    it has majority support it is the answer and no scan runs. Otherwise the
-    levels are visited best first, by the matches of their ceilings (see
-    ``_ceilings``) and then their Y-counts, and the walk stops at the first
-    level that cannot beat the best found; a level whose ceiling has majority
-    support is won by it, which ends the walk, and any other is scanned (or,
-    over the budget of ``_level``, raises ResourceLimitError).
+    it has majority support it is the answer and no search runs. Otherwise the
+    levels are visited best first, by the matches of their ceilings and then
+    their Y-counts, and the walk stops at the first level that cannot beat the
+    best found, as a tie goes to the higher level; a level whose ceiling has
+    majority support is won by it, which ends the walk, and any other is searched.
     """
     t, n = matrix.t, matrix.n
     majority = Proposal(sum(1 << i for i, y in enumerate(matrix.y_weights) if 2 * y >= n), t)
@@ -184,15 +185,15 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
     if 2 * supp >= n:
         value, mask = matches(matrix, majority), majority.mask
     else:
-        value, mask, supp = _best_by_scan(matrix)
+        value, mask, supp = _best_by_search(matrix)
     return OracleResult(best_proposal=Proposal(mask, t), value=value, supporter_weight=supp)
 
 
-def _best_by_scan(matrix: VoterMatrix) -> tuple[int, int, int]:
+def _best_by_search(matrix: VoterMatrix) -> tuple[int, int, int]:
     """(matches, mask, supporter weight) of the best_representation winner."""
     t, n = matrix.t, matrix.n
     ceiling, most = _ceilings(matrix.y_weights, n)
-    best, match_of = (-1,), None  # (matches, ones, -mask, supporter weight), maximized
+    best = (-1,)  # (matches, ones, -mask, supporter weight), maximized
     for m, k in sorted(zip(most, range(t + 1)), reverse=True):
         if (m, k) < best[:2]:  # neither this level nor any after it can beat the best
             break
@@ -200,12 +201,8 @@ def _best_by_scan(matrix: VoterMatrix) -> tuple[int, int, int]:
         if 2 * supp >= n:  # the ceiling wins its level, and so beats every level after it
             best = (m, k, -ceiling[k], supp)
             break
-        for masks, supp in _level(matrix, k):
-            match_of = match_of or _matcher(matrix.y_weights, n, _dtype(matrix))
-            match = np.where(2 * supp >= n, match_of(masks), -1)  # -1: unsupported
-            top = np.flatnonzero(match == match.max())
-            i = top[np.argmin(masks[top])]
-            best = max(best, (int(match[i]), k, -int(masks[i]), int(supp[i])))
+        if found := _search(matrix, k):
+            best = max(best, (found[0], k, *found[1:]))
     if best[0] < 0:
         raise AssertionError("no majority-supported proposal; pair-support violated")
     return best[0], -best[2], best[3]

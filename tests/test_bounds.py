@@ -5,7 +5,6 @@ import pytest
 
 from priceofmajority import (
     ParameterError,
-    analytic_floor,
     figure2_points,
     ma_closed_form_full,
     ma_linear_lower,
@@ -64,9 +63,6 @@ class TestAnalyticUpper:
                 step * (2 / t - 1 / (t + 1)),
             )
 
-    def test_floor_constant(self):
-        assert analytic_floor() == Fraction(1, 3)
-
 
 class TestNumericBounds:
     def test_t9_table_row(self):
@@ -82,7 +78,7 @@ class TestNumericBounds:
     def test_sandwich(self):
         for t in (5, 8, 9, 12, 15):
             result = rt_bounds(t)
-            assert analytic_floor() <= result.lower <= result.upper <= 1
+            assert Fraction(1, 3) <= result.lower <= result.upper <= 1
 
     def test_trivial_topic_counts(self):
         for exact in (True, False):

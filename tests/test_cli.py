@@ -18,6 +18,7 @@ from priceofmajority import (
     lemma1_matrix,
     lpsolve,
     matrixio,
+    oracle,
     verify,
 )
 from priceofmajority.cli import format_significant, main
@@ -147,20 +148,15 @@ class TestAnalyze:
             path.write_bytes(b"\xef\xbb\xbf" + handle.read())
         assert run(["analyze", str(path)]) == run(["analyze", intro_file])
 
-    def test_resource_cap_exit_code(self, tmp_path, capsys):
-        # level 15 of this t = 26 matrix must be scanned and is over the oracle's
-        # budget; an all-Y voter of t = 25 is answered by the short-cut
-        t = 26
-        lines = ["N" * i + "Y" + "N" * (t - 1 - i) for i in range(24)]
-        lines += ["N" * 24 + "YY", "24x " + "Y" * t]
-        path = tmp_path / "scan26.txt"
-        path.write_text("\n".join(lines) + "\n")
-        code, text = run(["analyze", str(path)])
+    def test_resource_cap_exit_code(self, over_budget_file, tmp_path, capsys):
+        # the search of level 61 passes the oracle's node budget, in about a
+        # second; an all-Y voter of t = 25 is answered by the short-cut
+        code, text = run(["analyze", over_budget_file])
         assert code == 3
         assert text == ""
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "level 15 of 26 topics" in err
+        budget = oracle._NODE_BUDGET
+        assert err == f"error: searching level 61 of 80 topics passed {budget} nodes\n"
         path = tmp_path / "wide.txt"
         path.write_text("Y" * 25 + "\n")
         with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -21,11 +22,12 @@ from priceofmajority import (
     vlp_matrix,
 )
 from priceofmajority import lpsolve, oracle
+from priceofmajority.bounds import rt_analytic_upper
 from priceofmajority.constructions import (
     theorem3_proof_parameters,
     theorem3_rv_bound,
 )
-from priceofmajority.core import is_canonical, supporter_weight
+from priceofmajority.core import supporter_weight
 from priceofmajority.oracle import proposal_stats
 
 
@@ -45,7 +47,7 @@ class TestLemma1:
         assert md_of(lemma1_matrix(7)) == 4
         for t in range(1, 13):
             matrix = lemma1_matrix(t)
-            assert is_canonical(matrix)
+            assert all(2 * y >= matrix.n for y in matrix.y_weights)
             assert md_of(matrix) == (t + 2) // 2
 
 
@@ -53,8 +55,9 @@ class TestTheorem2:
     def test_small_instance(self):
         matrix = theorem2_matrix(1)
         assert matrix.n == 5
-        tally = column_tally(matrix)
-        assert all(m == Fraction(3, 5) for m in (tally.m(0), tally.m(1), tally.m(2)))
+        # each column's Y-fraction y_i / n
+        fractions = [Fraction(y, matrix.n) for y in column_tally(matrix).y_weights]
+        assert fractions == [Fraction(3, 5)] * 3
 
     def test_all_y_never_supported(self):
         for l in range(1, 20):
@@ -113,21 +116,35 @@ class TestTheorem3:
             theorem3_matrix(5, 4, 10)
 
     def test_rv_bound_holds_for_prescribed_parameters(self):
-        # no mask is scanned, also past 64 topics, where the masks outgrow int64
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            for t in (*range(3, 65), 65, 101, 201):
-                k, M = theorem3_proof_parameters(t)
-                matrix = theorem3_matrix(t, k, M)
+        # a ceiling decides each matrix and no search finds a mask, also past
+        # 64 topics, where the masks outgrow int64
+        for t in (*range(3, 65), 65, 101, 201, 1001):
+            k, M = theorem3_proof_parameters(t)
+            matrix = theorem3_matrix(t, k, M)
+            with mock.patch.object(oracle, "_search", wraps=oracle._search) as search:
                 assert r_V(matrix) == theorem3_rv_bound(t, k, M)
-        assert not scan.called
+            assert all(oracle._search(matrix, c.args[1]) is None for c in search.call_args_list)
 
     def test_reach_of_the_k_limit(self):
-        # the docstring's measured reach of THEOREM3_K_LIMIT = 200
+        # the window M = round(sqrt(3/2) k) +- 3 finds what a scan over every M
+        # in (k, 2k + 1] finds: restated here for t <= 40, and for t <= 466 the
+        # sha256 of the 464 pairs of that scan (over k <= 200, which raised at
+        # t = 467, 487 and 507)
+        for t in range(3, 41):
+            full = next(
+                (k, M)
+                for k in range(2, 201)
+                for M in range(k + 1, 2 * k + 2)
+                if theorem3_rv_bound(t, k, M) <= rt_analytic_upper(t)
+            )
+            assert theorem3_proof_parameters(t) == full
+        pairs = repr([theorem3_proof_parameters(t) for t in range(3, 467)]).encode()
+        expected = "1b57b714dd821a07884e9b43ac95ca76aab405c410d70492b9e9b46fa6947142"
+        assert hashlib.sha256(pairs).hexdigest() == expected
         assert theorem3_proof_parameters(466) == (195, 240)
         assert theorem3_proof_parameters(486) == (197, 241)
-        for t in (467, 487, 507):
-            with pytest.raises(ParameterError, match=rf"^no \(k, M\) .* for t={t}$"):
-                theorem3_proof_parameters(t)
+        for t, km in ((467, (209, 258)), (507, (207, 255)), (1001, (411, 504))):
+            assert theorem3_proof_parameters(t) == km
 
 
 class TestLemma7:
@@ -253,4 +270,4 @@ class TestVlpMatrix:
             theorem3_matrix(5, 4, 6),
             vlp_matrix(5, 4, solve_ma(5, 4).profile),
         ]
-        assert all(is_canonical(m) for m in matrices)
+        assert all(2 * y >= m.n for m in matrices for y in m.y_weights)

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 from priceofmajority import (
     ParameterError,
     Proposal,
+    TypeProfile,
     VoterMatrix,
     VoterRow,
     absolute_representativeness,
     canonicalize,
     column_tally,
     has_majority_support,
-    majority_decisions,
     matches,
     relative_representativeness,
-    supports,
-    type_profile,
 )
 from priceofmajority.core import (
     ShapeError,
-    is_canonical,
     opinions_to_string,
     parse_opinions,
     supporter_weight,
@@ -73,12 +70,12 @@ class TestCanonicalize:
         matrix = VoterMatrix.from_strings(["YN", "NY"])
         canonical, flip = canonicalize(matrix)
         assert flip == 0
-        assert is_canonical(canonical)
+        assert all(2 * y >= canonical.n for y in canonical.y_weights)
 
     @given(wide_matrices())
     def test_double_flip_is_identity(self, matrix):
         canonical, flip = canonicalize(matrix)
-        assert is_canonical(canonical)
+        assert all(2 * y >= canonical.n for y in canonical.y_weights)
         restored = VoterMatrix(
             matrix.t,
             tuple(VoterRow(r.mask ^ flip, r.t, r.weight) for r in canonical.rows),
@@ -93,21 +90,25 @@ class TestCanonicalize:
 
 
 class TestSupport:
+    """A voter supports a proposal it agrees with on at least half the topics:
+    the supporter weight of a one-voter matrix."""
+
     def test_hand_counted_agreements(self):
-        voter = VoterRow(*parse_opinions("YYYNNNN"))
-        assert supports(voter, Proposal.from_string("YYYYYYN"))
+        # 4 of 7 topics agree
+        matrix = VoterMatrix.from_strings(["YYYNNNN"], weights=[3])
+        assert supporter_weight(matrix, Proposal.from_string("YYYYYYN")) == 3
 
     def test_voter_supports_itself(self):
-        voter = VoterRow(0b10110, 5)
-        assert supports(voter, Proposal(0b10110, 5))
+        matrix = VoterMatrix(5, (VoterRow(0b10110, 5),))
+        assert supporter_weight(matrix, Proposal(0b10110, 5)) == 1
 
     def test_opposite_vector_not_supported(self):
-        voter = VoterRow(*parse_opinions("YNN"))
-        assert not supports(voter, Proposal.from_string("NYY"))
+        matrix = VoterMatrix.from_strings(["YNN"])
+        assert supporter_weight(matrix, Proposal.from_string("NYY")) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            supports(VoterRow(0, 3), Proposal(0, 4))
+            supporter_weight(VoterMatrix(3, (VoterRow(0, 3),)), Proposal(0, 4))
 
 
 class TestMajoritySupport:
@@ -201,7 +202,16 @@ class TestMajorityDecisions:
         [("YYYYYYN", 6), ("NNN", 0), ("YYYYY", 5)],
     )
     def test_counts_ys(self, text, expected):
-        assert majority_decisions(Proposal.from_string(text)) == expected
+        # majority decisions are the Ys of a proposal in the canonical frame
+        assert Proposal.from_string(text).ones_count == expected
+
+
+def type_profile(matrix):
+    """Fraction of the weight held by l-voters, for l = 0..t, by ``ones_count``."""
+    shares = [Fraction(0)] * (matrix.t + 1)
+    for row in matrix.rows:
+        shares[row.ones_count] += Fraction(row.weight, matrix.n)
+    return TypeProfile(tuple(shares))
 
 
 class TestTypeProfile:

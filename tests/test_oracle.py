@@ -1,7 +1,7 @@
+import io
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
 from unittest import mock
 
 import pytest
@@ -29,7 +29,7 @@ from priceofmajority import (
     theorem3_matrix,
     vlp_matrix,
 )
-from priceofmajority import core, oracle
+from priceofmajority import cli, core, oracle
 from priceofmajority.core import (
     VoterRow,
     agreements,
@@ -42,24 +42,13 @@ from priceofmajority.oracle import proposal_stats
 from priceofmajority.sampling import random_matrix
 
 
-def _assert_refused_before_allocation(t, level):
-    """t - 2 singletons, a YY voter on the last two topics and an all-Y block of
-    weight t - 2: both oracle calls refuse the scan of ``level``, with a tracemalloc
-    peak of at most 1 MiB."""
-    rows = [VoterRow(1 << i, t) for i in range(t - 2)]
-    rows += [VoterRow(0b11 << (t - 2), t), VoterRow((1 << t) - 1, t, t - 2)]
-    matrix = VoterMatrix(t, tuple(rows))
-    size = comb(t, level)
-    message = rf"^scanning level {level} of {t} topics needs {size} masks; the budget is "
-    for fn in (md_of, best_representation):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match=message):
-                fn(matrix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2**20
+def _searches(fn, matrix):
+    """(fn(matrix), [(level, result)] of each oracle._search call that fn made):
+    each result is _search's own, computed again for the level."""
+    with mock.patch.object(oracle, "_search", wraps=oracle._search) as search:
+        result = fn(matrix)
+    levels = [call.args[1] for call in search.call_args_list]
+    return result, [(k, oracle._search(matrix, k)) for k in levels]
 
 
 class TestMdOf:
@@ -67,14 +56,15 @@ class TestMdOf:
         assert md_of(intro_matrix) == 6
 
     def test_lemma1_matrices_are_tight(self):
-        # no level is scanned: a short-cut, a ceiling or reach decides each one,
-        # also past 64 topics, where the masks outgrow int64
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            for t in (*range(1, 65), 65, 100, 200, 1000):
-                matrix = lemma1_matrix(t)
-                assert md_of(matrix) == (t + 2) // 2
-                assert r_V(matrix) == 1 - Fraction((t - 1) // 2, t * t)
-        assert not scan.called
+        # no search finds a mask: a short-cut, a ceiling or reach decides each
+        # level, also past 64 topics, where the masks outgrow int64
+        for t in (*range(1, 65), 65, 100, 200, 1000):
+            matrix = lemma1_matrix(t)
+            md, md_searches = _searches(md_of, matrix)
+            r, r_searches = _searches(r_V, matrix)
+            assert md == (t + 2) // 2
+            assert r == 1 - Fraction((t - 1) // 2, t * t)
+            assert all(found is None for _, found in md_searches + r_searches)
 
     def test_single_all_y_voter(self):
         for t in (1, 4, 9):
@@ -87,26 +77,34 @@ class TestMdOf:
             matrix = random_matrix(rng, max_t=8)
             assert md_of(matrix) >= (matrix.t + 2) // 2
 
-    def test_resource_cap(self):
-        # the scan22 matrix of the CLI checks at t = 26: level 15's ceiling lacks
-        # support and the level holds C(26, 15) masks, over the budget C(24, 12);
-        # both calls refuse it before any mask array is allocated
-        _assert_refused_before_allocation(26, 15)
-
-    def test_resource_cap_past_64_topics(self):
-        # the same shape at t = 100 is refused at level 52 just as early, so no
-        # mask of 2^64 or more reaches numpy
-        _assert_refused_before_allocation(100, 52)
+    def test_resource_cap(self, over_budget_file, capsys, monkeypatch):
+        # past the node budget, a search refuses its level with exit code 3 and
+        # one error line (tests/test_cli.py runs the same draw at the full
+        # budget). A search holds its stack, at most two nodes a depth, and no
+        # more as it runs longer, so a budget cut to 2,000 nodes gives the same
+        # peak, at most 1 MiB, without the twentyfold slowdown of tracemalloc
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", 2000)
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", over_budget_file], out=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: searching level 61 of 80 topics passed 2000 nodes\n"
+        assert peak <= 2**20
 
     def test_short_cuts_need_no_scan_at_30_topics(self):
         # one voter of t = 30: all-N supports the column-majority proposal (itself)
-        # and every mask with at most 15 Ys, all-Y supports itself; no mask is scanned
+        # and every mask with at most 15 Ys, all-Y supports itself; no search finds a mask
         for mask, md in ((0, 15), ((1 << 30) - 1, 30)):
             matrix = VoterMatrix(30, (VoterRow(mask, 30),))
-            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                result = best_representation(matrix)
-                assert md_of(matrix) == md
-            assert not scan.called
+            result, searches = _searches(best_representation, matrix)
+            assert searches == []
+            found, searches = _searches(md_of, matrix)
+            assert found == md
+            assert all(level_best is None for _, level_best in searches)
             assert result.best_proposal.mask == mask
             assert (result.value, result.supporter_weight) == (30, 1)
 
@@ -188,7 +186,7 @@ class TestBestRepresentation:
             assert all(type(x) is int for x in supp + match)
 
     def test_sums_beyond_int64_run_on_python_ints(self):
-        # n*t passes 2^62: the same scan runs with dtype=object
+        # n*t passes 2^62: the same scan and search sum with dtype=object
         rng = random.Random(11)
         for _ in range(20):
             t = rng.randint(3, 7)
@@ -234,14 +232,15 @@ def oracle_matrices():
     most two Ys each over an odd t <= 7.
 
     The sparse rows leave all-Y and the levels near it without support, so
-    md_of walks down the levels; it scans in about 2% of the draws, against
-    under 1% without them. An odd t asks a supporter for a strict majority of
-    the topics, which leaves more ceilings without support, and the sparse
-    matrices are not flipped, as that would make their rows dense.
+    md_of walks down the levels; it searches a level that passes the reach test
+    in about 2% of the draws, against under 1% without them. An odd t asks a
+    supporter for a strict majority of the topics, which leaves more ceilings
+    without support, and the sparse matrices are not flipped, as that would
+    make their rows dense.
 
     The worst cases (theorem2, lemma1, theorem3) leave the column-majority
-    proposal without majority support, so they reach the level search, where
-    each is decided by a level's ceiling without a scan.
+    proposal without majority support, so they reach the level walk, where
+    each is decided by a level's ceiling, and no search finds a mask.
     """
     rows = st.lists(
         st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=5)),
@@ -284,33 +283,38 @@ def _flipped(drawn):
 
 
 class TestAgainstBruteForce:
-    """Short-cuts, ceilings and the scan all equal a brute force built from core."""
+    """Short-cuts, ceilings and the search all equal a brute force built from core."""
 
     @given(oracle_matrices())
     @settings(max_examples=300, deadline=None)
     def test_md_and_best_representation(self, matrix):
         md, witness, value, supp = brute_force(matrix)
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            assert md_of(matrix) == md
-        # the md scan runs exactly when the restated walk leaves a level to scan
-        assert scan.called == bool(_md_walk(matrix)[0])
-        event("md scan" if scan.called else "md no scan")
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            result = best_representation(matrix)
+        found, md_searches = _searches(md_of, matrix)
+        assert found == md
+        assert [k for k, _ in md_searches] == _md_walk(matrix)
+        event("md search finds" if any(f for _, f in md_searches) else "md no search finds")
+        result, searches = _searches(best_representation, matrix)
         assert result.best_proposal == witness
         assert result.value == value
         assert result.supporter_weight == supp
-        # no scan when the column-majority short-cut or the ceilings decide
-        assert scan.called == (not _majority_supported(matrix) and bool(_level_walk(matrix)[0]))
-        event("best scan" if scan.called else "best no scan")
+        # no search when the column-majority short-cut decides
+        if _majority_supported(matrix):
+            assert searches == []
+        else:
+            searched, _, skipped = _level_walk(matrix)
+            assert sorted(k for k, _ in searches) == sorted(searched + skipped)
+        event("best search finds" if any(f for _, f in searches) else "best no search finds")
+        # each search returns its level's best supported mask
+        for k, found in md_searches + searches:
+            assert found == _level_best(matrix, k)
 
     def test_both_paths_are_exercised(self):
         # each call ends in a short-cut (all-Y for md, the column-majority proposal
         # for best_representation: no ceiling computed), at a ceiling (ceilings
-        # computed, no scan) or in a scan
+        # computed, no search finds a mask) or in a search that finds one
         # in the last matrix the level-4 ceiling YYNYY has supporter weight 3 of
         # n = 7, while another 4-Y proposal has 4
-        scans = VoterMatrix.from_strings(
+        searched = VoterMatrix.from_strings(
             ["YYYYY", "NYNNY", "YNYNN", "NNNYN"], weights=[1, 2, 1, 3]
         )
         cases = (
@@ -318,21 +322,19 @@ class TestAgainstBruteForce:
             (lemma1_matrix(6), "ceiling", "ceiling"),
             (VoterMatrix.from_strings(["YNYY", "YNYY", "NYNN"]), "short-cut", "short-cut"),
             (VoterMatrix.from_strings(["NNY", "NNY", "YYN"]), "ceiling", "short-cut"),
-            (scans, "scan", "scan"),
+            (searched, "search", "search"),
         )
         for matrix, md_path, best_path in cases:
-            results, scanned = [], []
+            results, levels = [], []
             for fn, path in ((md_of, md_path), (best_representation, best_path)):
                 with mock.patch.object(oracle, "_ceilings", wraps=oracle._ceilings) as ceilings:
-                    with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                        results.append(fn(matrix))
-                taken = "scan" if scan.called else "ceiling" if ceilings.called else "short-cut"
+                    result, searches = _searches(fn, matrix)
+                found = any(f for _, f in searches)
+                taken = "search" if found else "ceiling" if ceilings.called else "short-cut"
                 assert taken == path
-                scanned.append(_scanned(scan))
-            # in the last matrix md_of's supported 4-Y mask is in the second of
-            # level 4's blocks, so it scans both (2 + 3 masks)
-            md_levels, md_count = _md_walk(matrix)
-            assert scanned[0] == (set(md_levels), md_count)
+                results.append(result)
+                levels.append([k for k, _ in searches])
+            assert levels[0] == _md_walk(matrix)
             md, result = results
             assert (md, result.best_proposal, result.value, result.supporter_weight) == (
                 brute_force(matrix)
@@ -416,10 +418,10 @@ class TestHalfProposal:
             matrix = VoterMatrix(t, tuple(VoterRow(rng.randrange(1 << t), t, w) for w in weights))
             if i % 4 < 2:
                 matrix, _ = canonicalize(matrix)
-            tally = column_tally(matrix)
-            total, k = sum(1 - tally.m(j) for j in range(t)), 0
-            while k < t and total + 2 * tally.m(k) - 1 <= Fraction(t, 2):
-                total += 2 * tally.m(k) - 1
+            m = [Fraction(y, matrix.n) for y in column_tally(matrix).y_weights]
+            total, k = sum(1 - m[j] for j in range(t)), 0
+            while k < t and total + 2 * m[k] - 1 <= Fraction(t, 2):
+                total += 2 * m[k] - 1
                 k += 1
             p = Proposal((1 << k) - 1, t)
             q = p.opposite()
@@ -528,18 +530,29 @@ def _ceiling(matrix, k):
     return min(p for p in level if matches(matrix, Proposal(p, t)) == most), most
 
 
+def _level_best(matrix, k):
+    """(matches, -mask, supporter weight) of level k's best supported mask, by
+    most matches and then the smallest mask, or None; restated from core."""
+    t, found = matrix.t, None
+    for p in (p for p in range(1 << t) if p.bit_count() == k):
+        supp = supporter_weight(matrix, Proposal(p, t))
+        if 2 * supp >= matrix.n:
+            found = max(found or (-1,), (matches(matrix, Proposal(p, t)), -p, supp))
+    return found
+
+
 def _level_walk(matrix):
-    """(levels scanned, levels decided by their ceiling, levels out of reach)
-    of the best_representation level search, restated from core.
+    """(levels searched past reach, levels decided by their ceiling, levels out
+    of reach) of the best_representation level walk, restated from core.
 
     The levels are visited best first, by (most matches, Y-count), and the walk
     stops at the first level below the (matches, Y-count) of the best found.
     A visited level is decided by its ceiling when that has majority support,
     out of reach when the voters within t - |k - l| >= threshold of it weigh
-    under n/2, and scanned otherwise."""
+    under n/2, and searched otherwise."""
     t, n = matrix.t, matrix.n
     tops = [_ceiling(matrix, k) for k in range(t + 1)]  # (mask, most matches) of each level
-    best, scanned, ceilings, skipped = (-1,), [], [], []
+    best, searched, ceilings, skipped = (-1,), [], [], []
     for most, k in sorted(((most, k) for k, (_, most) in enumerate(tops)), reverse=True):
         if (most, k) < best:
             break
@@ -549,44 +562,26 @@ def _level_walk(matrix):
         elif 2 * _reach(matrix, k) < n:
             skipped.append(k)
         else:
-            scanned.append(k)
+            searched.append(k)
             for p in range(1 << t):
                 proposal = Proposal(p, t)
                 if p.bit_count() == k and has_majority_support(matrix, proposal):
                     best = max(best, (matches(matrix, proposal), k))
-    return scanned, ceilings, skipped
+    return searched, ceilings, skipped
 
 
 def _md_walk(matrix):
-    """(levels md_of scans, masks it scans), restated from core: none when
-    all-Y has majority support; otherwise each level from t - 1 down to md
-    whose possible supporters weigh at least n/2, except md itself when its
-    ceiling has majority support. Each level above md is scanned whole, and
-    md's scan ends with its first block that holds a supported mask."""
-    t, n = matrix.t, matrix.n
+    """The levels md_of searches, restated from core: none when all-Y has
+    majority support; otherwise each level from t - 1 down to md, except md
+    itself when its ceiling has majority support."""
+    t = matrix.t
     md = brute_force(matrix)[0]
     if md == t:
-        return [], 0
-    levels = [k for k in range(t - 1, md, -1) if 2 * _reach(matrix, k) >= n]
-    count = sum(comb(t, k) for k in levels)
+        return []
+    levels = list(range(t - 1, md, -1))
     if not has_majority_support(matrix, Proposal(_ceiling(matrix, md)[0], t)):
         levels.append(md)
-        for block in _blocks(t, md):
-            count += len(block)
-            if any(has_majority_support(matrix, Proposal(p, t)) for p in block):
-                break
-    return levels, count
-
-
-def _blocks(t, k):
-    """The masks with k ones in the oracle's blocks at the default chunk: one
-    per number j of ones in the low t // 2 bits, j ascending."""
-    low = (1 << t // 2) - 1
-    groups = [
-        [p for p in range(1 << t) if p.bit_count() == k and (p & low).bit_count() == j]
-        for j in range(t // 2 + 1)
-    ]
-    return [group for group in groups if group]
+    return levels
 
 
 def _reach(matrix, k):
@@ -596,37 +591,28 @@ def _reach(matrix, k):
     return sum(r.weight for r in near)
 
 
-def _scanned(scan):
-    """(popcounts of the masks passed to a wrapped _scan, how many masks)."""
-    masks = [int(m) for call in scan.call_args_list for m in call.args[2]]
-    return {m.bit_count() for m in masks}, len(masks)
-
-
 class TestLevelSearch:
     """The level search examines only the levels the bounds and ceilings leave."""
 
     @given(oracle_matrices())
     @settings(max_examples=200, deadline=None)
     def test_levels_scanned_follow_the_bounds(self, matrix):
-        t = matrix.t
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            result = best_representation(matrix)
+        result, searches = _searches(best_representation, matrix)
         if _majority_supported(matrix):
-            assert not scan.called
+            assert searches == []
             return
-        scanned, ceilings, skipped = _level_walk(matrix)
-        levels, count = _scanned(scan)
-        assert levels == set(scanned)
-        assert count == sum(comb(t, k) for k in scanned)
+        searched, ceilings, skipped = _level_walk(matrix)
+        # the walk calls the search on the levels its ceilings leave open,
+        # and a level out of reach holds no supported mask
+        assert sorted(k for k, _ in searches) == sorted(searched + skipped)
+        assert all(found is None for k, found in searches if k in skipped)
         if skipped:
             event("level out of reach")
         if ceilings:
             event("ceiling decides a level")
         assert has_majority_support(matrix, result.best_proposal)
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            md_of(matrix)
-        md_levels, md_count = _md_walk(matrix)
-        assert _scanned(scan) == (set(md_levels), md_count)
+        _, searches = _searches(md_of, matrix)
+        assert [k for k, _ in searches] == _md_walk(matrix)
 
     @pytest.mark.parametrize("t", range(8, 21))
     def test_worst_cases_scan_one_level(self, t):
@@ -634,9 +620,8 @@ class TestLevelSearch:
         cases = [lemma1_matrix(t)] + [theorem3_matrix(t, t - 1, M) for M in range(t, 2 * t)]
         for matrix in cases:
             for fn in (md_of, best_representation):
-                with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                    fn(matrix)
-                assert _scanned(scan)[1] == 0
+                _, searches = _searches(fn, matrix)
+                assert all(found is None for _, found in searches)
         assert md_of(cases[0]) == (t + 2) // 2
 
     def test_ceiling_after_a_scan_without_support(self):
@@ -646,9 +631,8 @@ class TestLevelSearch:
         matrix = VoterMatrix.from_strings(["NNY", "YYY", "YNN", "NYN"], weights=[3, 1, 2, 2])
         assert column_tally(matrix).y_weights == (3, 3, 4)
         assert _level_walk(matrix) == ([1], [0], [])
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            result = best_representation(matrix)
-        assert _scanned(scan) == ({1}, 3)
+        result, searches = _searches(best_representation, matrix)
+        assert searches == [(1, None)]
         md, witness, value, supp = brute_force(matrix)
         assert (result.best_proposal, result.value, result.supporter_weight) == (
             witness,
@@ -660,75 +644,52 @@ class TestLevelSearch:
     def test_best_first_stop(self):
         # column Y-weights 3, 2, 3 of n = 7: all-N (13 matches) is out of reach,
         # and level 1's ceiling YNN (12) has supporter weight 6, which ends the
-        # walk; a walk from t Ys down would first scan level 2 (masks 3, 5 and 6)
+        # walk; a walk from t Ys down would first search level 2
         matrix = VoterMatrix.from_strings(["YNY", "NNN", "YYN", "NYY"], weights=[2, 3, 1, 1])
-        with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-            result = best_representation(matrix)
+        result, searches = _searches(best_representation, matrix)
         assert (result.best_proposal.to_string(), result.value, result.supporter_weight) == (
             "YNN",
             12,
             6,
         )
-        assert _scanned(scan) == (set(), 0)
+        assert searches == [(0, None)]
         assert _level_walk(matrix) == ([], [1], [0])
 
-    @pytest.mark.parametrize("chunk", [2**4])
-    def test_blocks_split_across_chunks(self, monkeypatch, chunk):
-        # a block joins a run of high halves to every low half with j ones, so
-        # blocks stay at most _CHUNK while _CHUNK >= C(h, h // 2), h = t // 2:
-        # 10 here (t <= 10), and 6,435 at t = 30 against the default 2^20. A
-        # tiny chunk splits those groups, so the tie-breaks run between blocks
-        # of one group as well as between groups
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        rng = random.Random(37)
-        cases = [lemma1_matrix(t) for t in (7, 9, 10)]
-        cases += [theorem3_matrix(t, t - 1, M) for t, M in ((8, 9), (9, 9), (10, 11))]
-        cases += [theorem3_matrix(10, 3, 5), theorem2_matrix(3)]
-        cases += [random_matrix(rng, max_t=10, max_rows=8) for _ in range(12)]
-        split = False
-        for i, matrix in enumerate(cases):
-            if i % 2:
-                matrix = _flipped((matrix, rng.randrange(1, 1 << matrix.t)))
-            rows = []
-            for j, r in enumerate(matrix.rows):  # rows reweighted by 1, 2 and 3
-                rows.append(VoterRow(r.mask, r.t, r.weight * (1 + j % 3)))
-            matrix = VoterMatrix(matrix.t, tuple(rows))
-            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                md = md_of(matrix)
-                result = best_representation(matrix)
-            t, h = matrix.t, matrix.t // 2
-            for call in scan.call_args_list:
-                masks = call.args[2]
-                assert masks.size <= chunk
-                k, j = int(masks[0]).bit_count(), (int(masks[0]) & ((1 << h) - 1)).bit_count()
-                split |= masks.size < comb(h, j) * comb(t - h, k - j)  # part of a group
-            assert (md, result.best_proposal, result.value, result.supporter_weight) == (
-                brute_force(matrix)
-            )
-        assert split
-
     def test_memory_stays_below_the_full_scan(self):
-        # a scan over all 2^t masks in 2^20-mask chunks peaks at about 64 MiB
-        # here; a level is built in blocks and no array holds 2^t masks.
         # lemma1(22) with the singletons of topics 20 and 21 merged into one
         # YY voter and the all-Y block one lighter: every column tallies 21 of
         # n = 41, so level 13's ceiling is topics 0..12, which only the block
         # (20) supports, while a 13-Y proposal with topics 20 and 21 also has the
-        # YY voter (21). Both calls scan level 13 only: best_representation all
-        # C(22, 13) of its masks, md_of its first block, which joins all 11
-        # high topics (20 and 21 among them) to the C(11, 2) low halves with 2
-        t = 22
-        rows = [VoterRow(1 << i, t) for i in range(20)]
-        rows += [VoterRow(0b11 << 20, t), VoterRow((1 << t) - 1, t, 20)]
-        matrix = VoterMatrix(t, tuple(rows))
-        for fn, count in ((md_of, comb(11, 2)), (best_representation, comb(22, 13))):
-            with mock.patch.object(oracle, "_scan", wraps=oracle._scan) as scan:
-                fn(matrix)
-            assert _scanned(scan) == ({13}, count)
+        # YY voter (21). Both calls find a supported mask in level 13 only, each
+        # holding at most 1 MiB, where a scan of level 13 held C(22, 13) masks
+        matrix = _scan_shape(22)
+        for fn in (md_of, best_representation):
+            _, searches = _searches(fn, matrix)
+            assert [k for k, found in searches if found] == [13]
             tracemalloc.start()
             try:
                 fn(matrix)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 64 * 2**20
+            assert peak <= 2**20
+
+    @pytest.mark.parametrize("t", [26, 100, 200])
+    def test_scan_shape_is_answered(self, t):
+        # the matrix above at t topics: every column tallies t - 1 of n = 2t - 3,
+        # so every gain is 1; the best supported mask has topics 0..k - 3 and
+        # the last two, k = t // 2 + 2, and the support of the block and the YY voter
+        matrix, k = _scan_shape(t), t // 2 + 2
+        result = best_representation(matrix)
+        assert md_of(matrix) == k
+        assert result.best_proposal.mask == (1 << (k - 2)) - 1 | 0b11 << (t - 2)
+        assert (result.value, result.supporter_weight) == (t * (t - 2) + k, t - 1)
+        assert r_V(matrix) == Fraction(t * (t - 2) + k, t * (t - 1))
+
+
+def _scan_shape(t):
+    """t - 2 singletons, a YY voter on the last two topics and an all-Y block of
+    weight t - 2: a ceiling that lacks support on the levels near t/2."""
+    rows = [VoterRow(1 << i, t) for i in range(t - 2)]
+    rows += [VoterRow(0b11 << (t - 2), t), VoterRow((1 << t) - 1, t, t - 2)]
+    return VoterMatrix(t, tuple(rows))
