@@ -3,10 +3,10 @@
 Proposals are bitmasks, grouped by their Y-count k. Level k's ceiling holds
 the k topics with the largest gains 2*y_i - n, ties to the lower index: it
 has the level's most matches and the smallest mask among the masks tied with
-it, so a ceiling with majority support decides its level, and a level that
-its ceiling leaves open is searched (``_search``). ``md_of`` and
-``best_representation`` walk the levels, and each first tries an O(rows*t)
-short-cut that needs no level at all.
+it, so a ceiling with majority support decides its level, and ``_search``
+checks it before it searches the level, yielding each better supported mask.
+``md_of`` stops at a level's first yield, ``best_representation`` takes its
+last, and each first tries an O(rows*t) short-cut that needs no level at all.
 
 No t is refused, but a search past ``_NODE_BUDGET`` nodes raises
 ResourceLimitError. Weights are ints, so every sum is an int: int64 while
@@ -88,11 +88,12 @@ def _matcher(ys, n: int, dtype):
     return lambda masks: tables[0][masks & ((1 << h) - 1)] + tables[1][masks >> h]
 
 
-def _search(matrix: VoterMatrix, k: int):
-    """(matches, -mask, supporter weight) of level k's best supported mask (most
-    matches, then the smallest mask), or None; nothing is built when the voters
-    that can reach level k weigh under n/2 (an l-voter agrees with a k-Y mask on
-    at most t - |k - l| topics).
+def _search(matrix: VoterMatrix, k: int, ceiling: int, most: int):
+    """Yield (matches, -mask, supporter weight) of each better supported mask of
+    level k (more matches, then a smaller mask), so the last is the level's best:
+    the ``ceiling`` (``most`` matches) alone when it has majority support. Else
+    nothing is built when the voters that can reach level k weigh under n/2 (an
+    l-voter agrees with a k-Y mask on at most t - |k - l| topics).
 
     Depth first over the topics by gain, highest first and ties from the highest
     index, with N first where it keeps the match bound (the decided part plus the
@@ -102,10 +103,14 @@ def _search(matrix: VoterMatrix, k: int):
     under n/2, or when its (match bound, -smallest mask) does not beat the best.
     """
     t, n = matrix.t, matrix.n
+    supp = supporter_weight(matrix, Proposal(ceiling, t))
+    if 2 * supp >= n:
+        yield most, -ceiling, supp
+        return
     s = support_threshold(t)
     near = [r for r in matrix.rows if abs(k - r.mask.bit_count()) <= t - s]
     if 2 * sum(r.weight for r in near) < n:
-        return None
+        return
     ys = matrix.y_weights
     order = sorted(range(t), key=lambda i: (2 * ys[i] - n, i), reverse=True)
     gains = [2 * ys[i] - n for i in order]
@@ -135,11 +140,11 @@ def _search(matrix: VoterMatrix, k: int):
             continue
         if kl in (0, left):  # a leaf: the rest is decided, and reach is support
             best = (bound, -(mask | (rest[d] if kl else 0)), int(supp))
+            yield best
             continue
         y_child = (d + 1, kl - 1, mask | 1 << order[d], fixed + gains[d], agree + ones[d])
         n_child = (d + 1, kl, mask, fixed, agree + 1 - ones[d])
         stack += (y_child, n_child) if gains[d] == gains[d + kl] else (n_child, y_child)
-    return best
 
 
 def _ceilings(ys, n) -> tuple[list[int], list]:
@@ -153,14 +158,14 @@ def _ceilings(ys, n) -> tuple[list[int], list]:
 
 def md_of(matrix: VoterMatrix) -> int:
     """Maximum Y-count over all majority-supported proposals: t when all-Y has
-    majority support, else the first level from t - 1 down whose ceiling has
-    majority support or whose search finds a supported mask."""
+    majority support, else the first level from t - 1 down where a search
+    yields a supported mask; each search stops at its first."""
     t = matrix.t
     if has_majority_support(matrix, Proposal((1 << t) - 1, t)):
         return t
-    ceiling, _ = _ceilings(matrix.y_weights, matrix.n)
+    ceiling, most = _ceilings(matrix.y_weights, matrix.n)
     for k in range(t - 1, -1, -1):
-        if has_majority_support(matrix, Proposal(ceiling[k], t)) or _search(matrix, k):
+        if next(_search(matrix, k, ceiling[k], most[k]), None):
             return k
     raise AssertionError("no majority-supported proposal; pair-support violated")
 
@@ -174,38 +179,25 @@ def best_representation(matrix: VoterMatrix) -> OracleResult:
     The column-majority proposal (Y exactly where 2*y_i >= n) maximizes the
     match count and, among the proposals tied with it, has the most Ys; when
     it has majority support it is the answer and no search runs. Otherwise the
-    levels are visited best first, by the matches of their ceilings and then
-    their Y-counts, and the walk stops at the first level that cannot beat the
-    best found, as a tie goes to the higher level; a level whose ceiling has
-    majority support is won by it, which ends the walk, and any other is searched.
+    levels are searched best first, by the matches of their ceilings and then
+    their Y-counts, until a level cannot beat the best found (a tie goes to the
+    higher level): after a ceiling with majority support, the next level cannot.
     """
     t, n = matrix.t, matrix.n
     majority = Proposal(sum(1 << i for i, y in enumerate(matrix.y_weights) if 2 * y >= n), t)
     supp = supporter_weight(matrix, majority)
     if 2 * supp >= n:
-        value, mask = matches(matrix, majority), majority.mask
-    else:
-        value, mask, supp = _best_by_search(matrix)
-    return OracleResult(best_proposal=Proposal(mask, t), value=value, supporter_weight=supp)
-
-
-def _best_by_search(matrix: VoterMatrix) -> tuple[int, int, int]:
-    """(matches, mask, supporter weight) of the best_representation winner."""
-    t, n = matrix.t, matrix.n
+        return OracleResult(majority, matches(matrix, majority), supp)
     ceiling, most = _ceilings(matrix.y_weights, n)
     best = (-1,)  # (matches, ones, -mask, supporter weight), maximized
     for m, k in sorted(zip(most, range(t + 1)), reverse=True):
         if (m, k) < best[:2]:  # neither this level nor any after it can beat the best
             break
-        supp = supporter_weight(matrix, Proposal(ceiling[k], t))
-        if 2 * supp >= n:  # the ceiling wins its level, and so beats every level after it
-            best = (m, k, -ceiling[k], supp)
-            break
-        if found := _search(matrix, k):
+        for found in _search(matrix, k, ceiling[k], m):
             best = max(best, (found[0], k, *found[1:]))
     if best[0] < 0:
         raise AssertionError("no majority-supported proposal; pair-support violated")
-    return best[0], -best[2], best[3]
+    return OracleResult(Proposal(-best[2], t), best[0], best[3])
 
 
 def r_V(matrix: VoterMatrix) -> Fraction:

@@ -165,6 +165,14 @@ class TestAnalyze:
         assert code == 0
         assert "md: 25\n" in text
 
+    def test_md_past_the_budget(self, over_budget_file, capsys):
+        # md stops at level 61's first supported mask, where the best-proposal
+        # search passes the budget (test_resource_cap_exit_code)
+        code, text = run(["analyze", over_budget_file, "--metric", "md"])
+        assert code == 0
+        assert "md: 61" in text.splitlines()
+        assert capsys.readouterr().err == ""
+
     def test_directory_is_a_file_error(self, tmp_path, capsys):
         code, text = run(["analyze", str(tmp_path)])
         assert code == 2

@@ -116,14 +116,15 @@ class TestTheorem3:
             theorem3_matrix(5, 4, 10)
 
     def test_rv_bound_holds_for_prescribed_parameters(self):
-        # a ceiling decides each matrix and no search finds a mask, also past
+        # a ceiling decides each matrix and every yield is a ceiling, also past
         # 64 topics, where the masks outgrow int64
         for t in (*range(3, 65), 65, 101, 201, 1001):
             k, M = theorem3_proof_parameters(t)
             matrix = theorem3_matrix(t, k, M)
             with mock.patch.object(oracle, "_search", wraps=oracle._search) as search:
                 assert r_V(matrix) == theorem3_rv_bound(t, k, M)
-            assert all(oracle._search(matrix, c.args[1]) is None for c in search.call_args_list)
+            for c in search.call_args_list:
+                assert all(-f[1] == c.args[2] for f in oracle._search(*c.args))
 
     def test_reach_of_the_k_limit(self):
         # the window M = round(sqrt(3/2) k) +- 3 finds what a scan over every M

@@ -43,12 +43,32 @@ from priceofmajority.sampling import random_matrix
 
 
 def _searches(fn, matrix):
-    """(fn(matrix), [(level, result)] of each oracle._search call that fn made):
-    each result is _search's own, computed again for the level."""
+    """(fn(matrix), [(level, ceiling, yields)] of each oracle._search call that
+    fn made): the yields are the level's full list, computed again. Each list
+    strictly increases, and up to t = 10 its last item (None when empty) is
+    the level's best supported mask, restated from core."""
     with mock.patch.object(oracle, "_search", wraps=oracle._search) as search:
         result = fn(matrix)
-    levels = [call.args[1] for call in search.call_args_list]
-    return result, [(k, oracle._search(matrix, k)) for k in levels]
+    searches = []
+    for call in search.call_args_list:
+        _, k, ceiling, most = call.args
+        found = list(oracle._search(matrix, k, ceiling, most))
+        assert all(a < b for a, b in zip(found, found[1:]))
+        if matrix.t <= 10:
+            assert (found[-1] if found else None) == _level_best(matrix, k)
+        searches.append((k, ceiling, found))
+    return result, searches
+
+
+def _searched(searches):
+    """The levels whose search went on past the ceiling: all but those whose
+    one yield is their ceiling."""
+    return [k for k, ceiling, found in searches if [-f[1] for f in found] != [ceiling]]
+
+
+def _past_ceiling(searches):
+    """The levels where a yield holds another mask than the ceiling."""
+    return [k for k, ceiling, found in searches if any(-f[1] != ceiling for f in found)]
 
 
 class TestMdOf:
@@ -56,7 +76,7 @@ class TestMdOf:
         assert md_of(intro_matrix) == 6
 
     def test_lemma1_matrices_are_tight(self):
-        # no search finds a mask: a short-cut, a ceiling or reach decides each
+        # every yield is a ceiling: a short-cut, a ceiling or reach decides each
         # level, also past 64 topics, where the masks outgrow int64
         for t in (*range(1, 65), 65, 100, 200, 1000):
             matrix = lemma1_matrix(t)
@@ -64,7 +84,7 @@ class TestMdOf:
             r, r_searches = _searches(r_V, matrix)
             assert md == (t + 2) // 2
             assert r == 1 - Fraction((t - 1) // 2, t * t)
-            assert all(found is None for _, found in md_searches + r_searches)
+            assert _past_ceiling(md_searches + r_searches) == []
 
     def test_single_all_y_voter(self):
         for t in (1, 4, 9):
@@ -95,16 +115,27 @@ class TestMdOf:
         assert err == "error: searching level 61 of 80 topics passed 2000 nodes\n"
         assert peak <= 2**20
 
+    def test_first_supported_mask_decides_a_level(self, sparse_draw, monkeypatch):
+        # md needs a level's first supported mask, the best proposal its best:
+        # under a budget of 100 nodes a level, md_of answers the t = 40 seed-2
+        # draw, where best_representation passes the budget on the same level
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", 100)
+        matrix = parse_matrix(sparse_draw(40, 2))
+        assert md_of(matrix) == 33
+        message = "^searching level 33 of 40 topics passed 100 nodes$"
+        with pytest.raises(ResourceLimitError, match=message):
+            best_representation(matrix)
+
     def test_short_cuts_need_no_scan_at_30_topics(self):
         # one voter of t = 30: all-N supports the column-majority proposal (itself)
-        # and every mask with at most 15 Ys, all-Y supports itself; no search finds a mask
+        # and every mask with at most 15 Ys, all-Y supports itself; every yield is a ceiling
         for mask, md in ((0, 15), ((1 << 30) - 1, 30)):
             matrix = VoterMatrix(30, (VoterRow(mask, 30),))
             result, searches = _searches(best_representation, matrix)
             assert searches == []
             found, searches = _searches(md_of, matrix)
             assert found == md
-            assert all(level_best is None for _, level_best in searches)
+            assert _past_ceiling(searches) == []
             assert result.best_proposal.mask == mask
             assert (result.value, result.supporter_weight) == (30, 1)
 
@@ -232,15 +263,15 @@ def oracle_matrices():
     most two Ys each over an odd t <= 7.
 
     The sparse rows leave all-Y and the levels near it without support, so
-    md_of walks down the levels; it searches a level that passes the reach test
-    in about 2% of the draws, against under 1% without them. An odd t asks a
+    md_of walks down the levels; a level of its walk passes the reach test in
+    about 2% of the draws, against under 1% without them. An odd t asks a
     supporter for a strict majority of the topics, which leaves more ceilings
     without support, and the sparse matrices are not flipped, as that would
     make their rows dense.
 
     The worst cases (theorem2, lemma1, theorem3) leave the column-majority
     proposal without majority support, so they reach the level walk, where
-    each is decided by a level's ceiling, and no search finds a mask.
+    each is decided by a level's ceiling, and every yield is a ceiling.
     """
     rows = st.lists(
         st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=5)),
@@ -291,8 +322,10 @@ class TestAgainstBruteForce:
         md, witness, value, supp = brute_force(matrix)
         found, md_searches = _searches(md_of, matrix)
         assert found == md
-        assert [k for k, _ in md_searches] == _md_walk(matrix)
-        event("md search finds" if any(f for _, f in md_searches) else "md no search finds")
+        # md_of asks each level from t - 1 down to md, and stops there
+        assert [k for k, _, _ in md_searches] == list(range(matrix.t - 1, md - 1, -1))
+        assert _searched(md_searches) == _md_walk(matrix)
+        event("md search finds" if _past_ceiling(md_searches) else "md no search finds")
         result, searches = _searches(best_representation, matrix)
         assert result.best_proposal == witness
         assert result.value == value
@@ -301,17 +334,15 @@ class TestAgainstBruteForce:
         if _majority_supported(matrix):
             assert searches == []
         else:
-            searched, _, skipped = _level_walk(matrix)
-            assert sorted(k for k, _ in searches) == sorted(searched + skipped)
-        event("best search finds" if any(f for _, f in searches) else "best no search finds")
-        # each search returns its level's best supported mask
-        for k, found in md_searches + searches:
-            assert found == _level_best(matrix, k)
+            searched, ceilings, skipped = _level_walk(matrix)
+            assert sorted(_searched(searches)) == sorted(searched + skipped)
+            assert sorted(k for k, _, _ in searches) == sorted(searched + ceilings + skipped)
+        event("best search finds" if _past_ceiling(searches) else "best no search finds")
 
     def test_both_paths_are_exercised(self):
         # each call ends in a short-cut (all-Y for md, the column-majority proposal
         # for best_representation: no ceiling computed), at a ceiling (ceilings
-        # computed, no search finds a mask) or in a search that finds one
+        # computed, every yield a ceiling) or in a search that yields another mask
         # in the last matrix the level-4 ceiling YYNYY has supporter weight 3 of
         # n = 7, while another 4-Y proposal has 4
         searched = VoterMatrix.from_strings(
@@ -329,11 +360,11 @@ class TestAgainstBruteForce:
             for fn, path in ((md_of, md_path), (best_representation, best_path)):
                 with mock.patch.object(oracle, "_ceilings", wraps=oracle._ceilings) as ceilings:
                     result, searches = _searches(fn, matrix)
-                found = any(f for _, f in searches)
+                found = _past_ceiling(searches)
                 taken = "search" if found else "ceiling" if ceilings.called else "short-cut"
                 assert taken == path
                 results.append(result)
-                levels.append([k for k, _ in searches])
+                levels.append(_searched(searches))
             assert levels[0] == _md_walk(matrix)
             md, result = results
             assert (md, result.best_proposal, result.value, result.supporter_weight) == (
@@ -602,17 +633,18 @@ class TestLevelSearch:
             assert searches == []
             return
         searched, ceilings, skipped = _level_walk(matrix)
-        # the walk calls the search on the levels its ceilings leave open,
-        # and a level out of reach holds no supported mask
-        assert sorted(k for k, _ in searches) == sorted(searched + skipped)
-        assert all(found is None for k, found in searches if k in skipped)
+        # the walk searches past the ceiling on the levels its ceilings leave
+        # open, and a level out of reach yields nothing
+        assert sorted(_searched(searches)) == sorted(searched + skipped)
+        assert sorted(k for k, _, _ in searches) == sorted(searched + ceilings + skipped)
+        assert all(found == [] for k, _, found in searches if k in skipped)
         if skipped:
             event("level out of reach")
         if ceilings:
             event("ceiling decides a level")
         assert has_majority_support(matrix, result.best_proposal)
         _, searches = _searches(md_of, matrix)
-        assert [k for k, _ in searches] == _md_walk(matrix)
+        assert _searched(searches) == _md_walk(matrix)
 
     @pytest.mark.parametrize("t", range(8, 21))
     def test_worst_cases_scan_one_level(self, t):
@@ -621,7 +653,7 @@ class TestLevelSearch:
         for matrix in cases:
             for fn in (md_of, best_representation):
                 _, searches = _searches(fn, matrix)
-                assert all(found is None for _, found in searches)
+                assert _past_ceiling(searches) == []
         assert md_of(cases[0]) == (t + 2) // 2
 
     def test_ceiling_after_a_scan_without_support(self):
@@ -632,7 +664,7 @@ class TestLevelSearch:
         assert column_tally(matrix).y_weights == (3, 3, 4)
         assert _level_walk(matrix) == ([1], [0], [])
         result, searches = _searches(best_representation, matrix)
-        assert searches == [(1, None)]
+        assert [(k, found) for k, _, found in searches] == [(1, []), (0, [(14, 0, 7)])]
         md, witness, value, supp = brute_force(matrix)
         assert (result.best_proposal, result.value, result.supporter_weight) == (
             witness,
@@ -652,7 +684,7 @@ class TestLevelSearch:
             12,
             6,
         )
-        assert searches == [(0, None)]
+        assert [(k, found) for k, _, found in searches] == [(0, []), (1, [(12, -1, 6)])]
         assert _level_walk(matrix) == ([], [1], [0])
 
     def test_memory_stays_below_the_full_scan(self):
@@ -665,7 +697,7 @@ class TestLevelSearch:
         matrix = _scan_shape(22)
         for fn in (md_of, best_representation):
             _, searches = _searches(fn, matrix)
-            assert [k for k, found in searches if found] == [13]
+            assert _past_ceiling(searches) == [13]
             tracemalloc.start()
             try:
                 fn(matrix)
